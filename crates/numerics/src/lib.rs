@@ -24,6 +24,8 @@
 //!   transversal, postorder, column counts) for the supernodal path;
 //! - [`supernodal`] — supernodal, level-scheduled parallel sparse LU
 //!   for meshed systems beyond n ≈ 10³;
+//! - [`lru`] — the weight-budgeted LRU cache shared by the ordering,
+//!   symbolic-analysis and served-deck caches;
 //! - [`par`] — the thread budget shared between parallel numeric
 //!   kernels and outer sweep engines;
 //! - [`stats`] — trace statistics shared by the experiment harness.
@@ -52,6 +54,7 @@ pub mod complex;
 pub mod dense;
 pub mod dual;
 pub mod etree;
+pub mod lru;
 pub mod lu;
 pub mod ode;
 pub mod ordering;

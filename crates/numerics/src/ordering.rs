@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 pub mod cache;
 pub mod nd;
 
-pub use cache::{cache_stats, clear_cache, order_cached, OrderLookup};
+pub use cache::{cache_snapshot, cache_stats, clear_cache, order_cached, OrderLookup};
 pub use nd::nd_order;
 
 /// Dimension at which [`FillOrdering::Auto`] switches from minimum

@@ -47,13 +47,15 @@
 //! with the same pivots, exactly like the scalar split.
 
 use crate::etree::{self, NONE};
+use crate::lru::{CacheStats, LruCache};
+use crate::ordering::cache::{pattern_fingerprint, Fingerprint};
 use crate::ordering::{order_cached, FillOrdering};
 use crate::par::resolve_factor_threads;
 use crate::scalar::Scalar;
 use crate::sparse_lu::{CscView, PIVOT_TAU};
 use crate::{NumericsError, Result};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
+use std::sync::{Arc, LazyLock, Mutex};
 
 /// Hard cap on supernode width: bounds dense-panel memory and keeps
 /// the in-panel elimination cache-resident.
@@ -165,7 +167,7 @@ impl Symbolic {
 pub struct SupernodalLu<S: Scalar> {
     /// Shared with the machine-wide symbolic cache — immutable after
     /// analysis; the numeric phase only reads it.
-    sym: std::sync::Arc<Symbolic>,
+    sym: Arc<Symbolic>,
     lstore: Vec<S>,
     ustore: Vec<S>,
     /// Row-equilibration scales, *original* row labels: the factor is
@@ -210,138 +212,30 @@ impl<S: Scalar> Scratch<S> {
 /// over and over. Caching the whole [`Symbolic`] (not just the
 /// permutation) is what puts a known pattern's cold factor near
 /// refactor cost: ordering, etree, exact counts, grouping, schedule,
-/// and assembly plan are all skipped. Entries larger than half the
-/// budget are not cached (a 10⁶-unknown analysis is ~200 MB; pinning
-/// two of those would evict everything else for little gain).
+/// and assembly plan are all skipped. Entries weigh their
+/// [`Symbolic::approx_bytes`], and those larger than half the budget
+/// are not cached (a 10⁶-unknown analysis is ~200 MB; pinning two of
+/// those would evict everything else for little gain).
 const SYM_CACHE_BYTES: usize = 192 << 20;
 
-struct SymEntry {
-    sym: std::sync::Arc<Symbolic>,
-    bytes: usize,
-    last_used: u64,
-}
-
-struct SymCache {
-    map: std::collections::HashMap<(u64, u64), SymEntry>,
-    bytes: usize,
-    tick: u64,
-}
-
-fn sym_cache() -> &'static Mutex<SymCache> {
-    static CACHE: std::sync::OnceLock<Mutex<SymCache>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(SymCache {
-            map: std::collections::HashMap::new(),
-            bytes: 0,
-            tick: 0,
-        })
-    })
-}
-
-static SYM_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SYM_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Dual-FNV-1a fingerprint of everything [`analyze`] depends on: the
-/// resolved ordering, the pattern, and the (value-aware) row matching.
-/// A collision could only replay a valid analysis of a different
-/// pattern, which the assembly plan's length check and the numeric
-/// drift guard would reject — but at 128 bits it simply doesn't
-/// happen.
-fn sym_fingerprint(
-    kind: FillOrdering,
-    n: usize,
-    col_ptr: &[usize],
-    row_idx: &[usize],
-    imatch: &[usize],
-) -> (u64, u64) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut b: u64 = 0x6c62_272e_07bb_0142;
-    let mut eat = |x: u64| {
-        a = (a ^ x).wrapping_mul(PRIME);
-        b = (b ^ x.rotate_left(32)).wrapping_mul(PRIME);
-    };
-    eat(kind as u64);
-    eat(n as u64);
-    eat(col_ptr.len() as u64);
-    eat(row_idx.len() as u64);
-    for &w in col_ptr {
-        eat(w as u64);
-    }
-    for &w in row_idx {
-        eat(w as u64);
-    }
-    for &w in imatch {
-        eat(w as u64);
-    }
-    (a, b)
-}
-
-fn sym_cache_get(key: (u64, u64)) -> Option<std::sync::Arc<Symbolic>> {
-    let mut c = sym_cache().lock().expect("symbolic cache lock");
-    c.tick += 1;
-    let tick = c.tick;
-    if let Some(e) = c.map.get_mut(&key) {
-        e.last_used = tick;
-        SYM_HITS.fetch_add(1, AtomicOrdering::Relaxed);
-        Some(std::sync::Arc::clone(&e.sym))
-    } else {
-        SYM_MISSES.fetch_add(1, AtomicOrdering::Relaxed);
-        None
-    }
-}
-
-fn sym_cache_put(key: (u64, u64), sym: &std::sync::Arc<Symbolic>) {
-    let bytes = sym.approx_bytes();
-    if bytes > SYM_CACHE_BYTES / 2 {
-        return;
-    }
-    let mut c = sym_cache().lock().expect("symbolic cache lock");
-    c.tick += 1;
-    let tick = c.tick;
-    if c.map.contains_key(&key) {
-        return;
-    }
-    c.map.insert(
-        key,
-        SymEntry {
-            sym: std::sync::Arc::clone(sym),
-            bytes,
-            last_used: tick,
-        },
-    );
-    c.bytes += bytes;
-    while c.bytes > SYM_CACHE_BYTES {
-        let victim = c
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(&k, _)| k);
-        match victim {
-            Some(k) => {
-                if let Some(e) = c.map.remove(&k) {
-                    c.bytes -= e.bytes;
-                }
-            }
-            None => break,
-        }
-    }
-}
+static SYMBOLIC: LazyLock<LruCache<Fingerprint, Arc<Symbolic>>> =
+    LazyLock::new(|| LruCache::with_max_weight(SYM_CACHE_BYTES, SYM_CACHE_BYTES / 2));
 
 /// Lifetime (hits, misses) of the machine-wide symbolic cache.
 pub fn symbolic_cache_stats() -> (u64, u64) {
-    (
-        SYM_HITS.load(AtomicOrdering::Relaxed),
-        SYM_MISSES.load(AtomicOrdering::Relaxed),
-    )
+    let s = SYMBOLIC.stats();
+    (s.hits, s.misses)
+}
+
+/// Residency and lifetime counters of the machine-wide symbolic cache.
+pub fn symbolic_cache_snapshot() -> CacheStats {
+    SYMBOLIC.stats()
 }
 
 /// Empties the symbolic cache (counters keep running) — for tests
 /// that need a cold start.
 pub fn clear_symbolic_cache() {
-    let mut c = sym_cache().lock().expect("symbolic cache lock");
-    c.map.clear();
-    c.bytes = 0;
+    SYMBOLIC.clear();
 }
 
 fn validate<S: Scalar>(a: &CscView<'_, S>) -> Result<()> {
@@ -440,17 +334,6 @@ fn analyze(
     ordering: FillOrdering,
 ) -> Result<(Symbolic, u64, bool)> {
     let internal = || NumericsError::InvalidInput("supernodal symbolic invariant violated".into());
-    let debug = std::env::var_os("MEMS_SNL_DEBUG").is_some();
-    let mut t_stage = std::time::Instant::now();
-    let mut stage = |label: &str| {
-        if debug {
-            eprintln!(
-                "supernodal analyze: {label} {:.1} ms",
-                t_stage.elapsed().as_secs_f64() * 1e3
-            );
-        }
-        t_stage = std::time::Instant::now();
-    };
     let mut rinv0 = vec![0usize; n];
     for j in 0..n {
         rinv0[imatch[j]] = j;
@@ -459,11 +342,9 @@ fn analyze(
     // Fill ordering through the machine-wide cache: `Auto` resolves to
     // ND past [`crate::ordering::ND_AUTO_THRESHOLD`], and a pattern
     // seen before skips ordering entirely (`order_us == 0`).
-    stage("symmetrize");
     let resolved = ordering.resolve(n);
     let lookup = order_cached(resolved, n, &sp, &si);
     let q: &[usize] = &lookup.perm;
-    stage("order");
     let (bp, bi) = etree::permute_sym(n, &sp, &si, q);
     let parent = etree::etree(n, &bp, &bi);
     let post = etree::postorder(&parent);
@@ -512,9 +393,7 @@ fn analyze(
             pri[w] = rinv[row_idx[p]];
         }
     }
-    stage("etree+counts");
     let (lcnt, ucnt) = etree::lu_col_counts(n, &pcp, &pri);
-    stage("lu_col_counts");
     // Prefix sums of exact stored cells per column (L + U, diagonal
     // once), so any column range's exact fill is O(1).
     let mut tpre = vec![0usize; n + 1];
@@ -653,7 +532,6 @@ fn analyze(
         rows.extend_from_slice(&buf);
         rows_ptr[s + 1] = rows.len();
     }
-    stage("grouping+rows");
 
     // Level = height above the leaves in the supernode tree; children
     // always precede parents, so one ascending pass settles it.
@@ -771,7 +649,6 @@ fn analyze(
         }
     }
 
-    stage("schedule+plan");
     let sym = Symbolic {
         n,
         colperm,
@@ -986,14 +863,18 @@ impl<S: Scalar + Send + Sync> SupernodalLu<S> {
         // and the assembly plan — cold factors of a seen pattern run
         // at allocate + numeric, i.e. near refactor cost.
         let resolved = ordering.resolve(a.n);
-        let key = sym_fingerprint(resolved, a.n, a.col_ptr, a.row_idx, &imatch);
-        let (sym, order_us, from_cache) = match sym_cache_get(key) {
+        // The key covers the (value-aware) row matching too. A
+        // collision could only replay a valid analysis of another
+        // pattern, which the assembly plan's length check and the
+        // numeric drift guard would reject.
+        let key = pattern_fingerprint(resolved, a.n, a.col_ptr, a.row_idx, &imatch);
+        let (sym, order_us, from_cache) = match SYMBOLIC.get(&key) {
             Some(sym) => (sym, 0, true),
             None => {
                 let (sym, order_us, order_hit) =
                     analyze(a.n, a.col_ptr, a.row_idx, imatch, ordering)?;
-                let sym = std::sync::Arc::new(sym);
-                sym_cache_put(key, &sym);
+                let bytes = sym.approx_bytes();
+                let (sym, _) = SYMBOLIC.insert(key, Arc::new(sym), bytes);
                 (sym, order_us, order_hit)
             }
         };

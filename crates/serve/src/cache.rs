@@ -1,11 +1,11 @@
 //! The server-wide artifact cache.
 //!
-//! Keyed on the submitted deck **source text** (verified by equality,
-//! not just by hash), each entry owns the parsed [`Deck`] and a pool
-//! of warm [`RunCtx`]s — elaborated circuits that workers re-bind in
-//! place via the `set_param` patch path, plus assembly workspaces
-//! whose sparse symbolic factorization + AMD ordering survive across
-//! jobs. A re-submitted or parameter-tweaked deck therefore skips
+//! Keyed on the submitted deck **source text** itself (a map lookup
+//! hashes it, then compares it byte for byte), each entry owns the
+//! parsed [`Deck`] and a pool of warm [`RunCtx`]s — elaborated
+//! circuits that workers re-bind in place via the `set_param` patch
+//! path, plus assembly workspaces whose sparse symbolic factorization
+//! and AMD ordering survive across jobs. A re-submitted or parameter-tweaked deck therefore skips
 //! parse, elaborate, *and* symbolic analysis: the second submission's
 //! job reports `circuits_built == 0`.
 //!
@@ -24,16 +24,13 @@
 //! from scratch on first touch.
 
 use mems_netlist::{deck_fingerprint, BatchPoint, Deck, IncludeResolver, NetlistError, RunCtx};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use mems_numerics::lru::LruCache;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One cached deck and its reusable simulation artifacts.
 pub struct DeckEntry {
-    /// The submitted source, byte-for-byte (the real cache key).
-    pub source: String,
     /// The parsed deck.
     pub deck: Deck,
     /// Definition fingerprint (`deck_fingerprint`), reported to
@@ -104,66 +101,32 @@ pub enum Lookup {
     Miss,
 }
 
-/// The fingerprint-keyed deck cache (LRU over submitted sources).
-pub struct ArtifactCache {
-    inner: Mutex<CacheState>,
-    /// Lifetime hit/miss counters, exported on `/v1/health` and
-    /// `/v1/metrics`.
-    pub hits: AtomicU64,
-    /// Lifetime miss counter.
-    pub misses: AtomicU64,
-    /// Lifetime LRU evictions.
-    pub evictions: AtomicU64,
-    /// Max resident entries.
-    cap: usize,
-}
+/// The source-keyed deck cache: an [`LruCache`] over submitted
+/// sources, one unit of weight per deck. It dereferences to the
+/// underlying cache for residency and the hit/miss/eviction counters
+/// exported on `/v1/health` and `/v1/metrics`.
+pub struct ArtifactCache(LruCache<String, Arc<DeckEntry>>);
 
-struct CacheState {
-    /// Source-hash → entries with that hash (collisions resolved by
-    /// source equality).
-    by_hash: HashMap<u64, Vec<Arc<DeckEntry>>>,
-    /// LRU order of source hashes + the exact source, oldest first.
-    order: Vec<(u64, usize)>,
-    /// Monotonic use counter backing the LRU order.
-    clock: usize,
+impl Deref for ArtifactCache {
+    type Target = LruCache<String, Arc<DeckEntry>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl ArtifactCache {
     /// An empty cache holding at most `cap` decks.
     pub fn new(cap: usize) -> Self {
-        ArtifactCache {
-            inner: Mutex::new(CacheState {
-                by_hash: HashMap::new(),
-                order: Vec::new(),
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Resident entry count.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("no poisoned cache lock")
-            .by_hash
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        ArtifactCache(LruCache::new(cap.max(1)))
     }
 
     /// Resolves submitted source text to a cached entry, parsing and
     /// caching on miss. The parse on the miss path also performs the
     /// elaborate fail-fast (`Elaborator::new`), so a returned entry is
-    /// always simulatable-or-diagnosed up front.
+    /// always simulatable-or-diagnosed up front. The cache keys on the
+    /// raw submitted bytes (pre-parse, pre-include-splice): it must
+    /// answer before doing any work.
     ///
     /// # Errors
     ///
@@ -173,103 +136,48 @@ impl ArtifactCache {
         source: &str,
         includes: &mut dyn IncludeResolver,
     ) -> Result<(Arc<DeckEntry>, Lookup), NetlistError> {
-        let key = source_hash(source);
-        {
-            let mut state = self.inner.lock().expect("no poisoned cache lock");
-            if let Some(candidates) = state.by_hash.get(&key) {
-                if let Some(entry) = candidates.iter().find(|e| e.source == source) {
-                    let entry = Arc::clone(entry);
-                    state.touch(key);
-                    drop(state);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    entry.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((entry, Lookup::Hit));
-                }
-            }
-        }
-
-        // Parse outside the lock: a slow deck must not stall lookups.
-        let deck = Deck::parse_with_includes(source, includes)?;
-        let elab = mems_netlist::Elaborator::new(&deck)?;
-        let batch_points = match mems_netlist::batch_points_with(&elab) {
-            Ok(points) => Some(points),
-            // The span-less elab error is "no .STEP/.MC card" — a
-            // plain single-run deck, not a diagnostic.
-            Err(NetlistError::Elab { span: None, .. }) => None,
-            Err(e) => return Err(e),
+        let (entry, resident) = match self.get(source) {
+            Some(entry) => (entry, true),
+            // Parse outside the lock: a slow deck must not stall
+            // lookups. A racing submitter may cache the same source
+            // while we parse; the insert then hands back theirs so
+            // the warm pool stays shared.
+            None => self.insert(
+                source.to_string(),
+                Arc::new(parse_entry(source, includes)?),
+                1,
+            ),
         };
-        drop(elab);
-        let entry = Arc::new(DeckEntry {
-            source: source.to_string(),
-            fingerprint: deck_fingerprint(&deck),
-            batch_points,
-            deck,
-            pool: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-        });
-
-        let mut state = self.inner.lock().expect("no poisoned cache lock");
-        // A racing submitter may have cached the same source while we
-        // parsed; prefer theirs so the warm pool stays shared.
-        if let Some(candidates) = state.by_hash.get(&key) {
-            if let Some(existing) = candidates.iter().find(|e| e.source == source) {
-                let existing = Arc::clone(existing);
-                state.touch(key);
-                drop(state);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                existing.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((existing, Lookup::Hit));
-            }
+        if !resident {
+            return Ok((entry, Lookup::Miss));
         }
-        state
-            .by_hash
-            .entry(key)
-            .or_default()
-            .push(Arc::clone(&entry));
-        state.touch(key);
-        if state.by_hash.values().map(Vec::len).sum::<usize>() > self.cap {
-            state.evict_oldest();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(state);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok((entry, Lookup::Miss))
+        entry.hits.fetch_add(1, Ordering::Relaxed);
+        Ok((entry, Lookup::Hit))
     }
 }
 
-impl CacheState {
-    /// Stamps `key` as most recently used.
-    fn touch(&mut self, key: u64) {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.order.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = clock,
-            None => self.order.push((key, clock)),
-        }
-    }
-
-    /// Drops the least recently used hash bucket.
-    fn evict_oldest(&mut self) {
-        if let Some(pos) = self
-            .order
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(pos, _)| pos)
-        {
-            let (key, _) = self.order.swap_remove(pos);
-            self.by_hash.remove(&key);
-        }
-    }
-}
-
-/// Hash of the raw submitted source (pre-parse, pre-include-splice):
-/// the cache must answer before doing any work, so it keys on exactly
-/// the bytes the client sent.
-fn source_hash(source: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    source.hash(&mut h);
-    h.finish()
+/// Parses and elaboration-checks a deck into a fresh cache entry.
+fn parse_entry(
+    source: &str,
+    includes: &mut dyn IncludeResolver,
+) -> Result<DeckEntry, NetlistError> {
+    let deck = Deck::parse_with_includes(source, includes)?;
+    let elab = mems_netlist::Elaborator::new(&deck)?;
+    let batch_points = match mems_netlist::batch_points_with(&elab) {
+        Ok(points) => Some(points),
+        // The span-less elab error is "no .STEP/.MC card" — a
+        // plain single-run deck, not a diagnostic.
+        Err(NetlistError::Elab { span: None, .. }) => None,
+        Err(e) => return Err(e),
+    };
+    drop(elab);
+    Ok(DeckEntry {
+        fingerprint: deck_fingerprint(&deck),
+        batch_points,
+        deck,
+        pool: Mutex::new(Vec::new()),
+        hits: AtomicU64::new(0),
+    })
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! server derives live (queue depth, cache residency, uptime) are
 //! passed in at render time as a [`Gauges`] snapshot.
 
+use mems_numerics::lru::CacheStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Chunk-latency histogram bucket upper bounds, seconds. Chunks are
@@ -161,24 +162,14 @@ pub struct Gauges {
     pub queue_depth_chunks: usize,
     /// Jobs admitted and not yet terminal.
     pub jobs_active: usize,
-    /// Decks resident in the artifact cache.
-    pub cache_entries: usize,
-    /// Lifetime cache hits.
-    pub cache_hits: u64,
-    /// Lifetime cache misses.
-    pub cache_misses: u64,
-    /// Lifetime cache evictions.
-    pub cache_evictions: u64,
-    /// Process-wide fill-ordering cache hits
-    /// ([`mems_numerics::ordering::cache_stats`]).
-    pub ordering_cache_hits: u64,
-    /// Process-wide fill-ordering cache misses.
-    pub ordering_cache_misses: u64,
-    /// Process-wide supernodal symbolic-analysis cache hits
-    /// ([`mems_numerics::supernodal::symbolic_cache_stats`]).
-    pub symbolic_cache_hits: u64,
-    /// Process-wide supernodal symbolic-analysis cache misses.
-    pub symbolic_cache_misses: u64,
+    /// The artifact (deck) cache.
+    pub artifact_cache: CacheStats,
+    /// The process-wide fill-ordering cache
+    /// ([`mems_numerics::ordering::cache_snapshot`]).
+    pub ordering_cache: CacheStats,
+    /// The process-wide supernodal symbolic-analysis cache
+    /// ([`mems_numerics::supernodal::symbolic_cache_snapshot`]).
+    pub symbolic_cache: CacheStats,
     /// Durable-store snapshot; `None` when running memory-only
     /// (no `--data-dir`).
     pub store: Option<crate::store::StoreStats>,
@@ -186,6 +177,15 @@ pub struct Gauges {
 
 fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
+/// Appends one cache's `event="hit"` and `event="miss"` samples of the
+/// counter family `name`; `labels` prefixes the event label, e.g.
+/// `cache="ordering",`.
+fn cache_events(out: &mut String, name: &str, labels: &str, s: &CacheStats) {
+    for (event, n) in [("hit", s.hits), ("miss", s.misses)] {
+        out.push_str(&format!("{name}{{{labels}event=\"{event}\"}} {n}\n"));
+    }
 }
 
 impl Metrics {
@@ -336,24 +336,25 @@ impl Metrics {
             "gauge",
             "Decks resident in the artifact cache.",
         );
-        out.push_str(&format!("mems_serve_cache_entries {}\n", g.cache_entries));
+        out.push_str(&format!(
+            "mems_serve_cache_entries {}\n",
+            g.artifact_cache.entries
+        ));
         family(
             &mut out,
             "mems_serve_cache_events_total",
             "counter",
             "Artifact-cache lookups and evictions, by event.",
         );
-        out.push_str(&format!(
-            "mems_serve_cache_events_total{{event=\"hit\"}} {}\n",
-            g.cache_hits
-        ));
-        out.push_str(&format!(
-            "mems_serve_cache_events_total{{event=\"miss\"}} {}\n",
-            g.cache_misses
-        ));
+        cache_events(
+            &mut out,
+            "mems_serve_cache_events_total",
+            "",
+            &g.artifact_cache,
+        );
         out.push_str(&format!(
             "mems_serve_cache_events_total{{event=\"eviction\"}} {}\n",
-            g.cache_evictions
+            g.artifact_cache.evictions
         ));
         family(
             &mut out,
@@ -361,16 +362,16 @@ impl Metrics {
             "counter",
             "Process-wide fill-ordering and symbolic-analysis cache lookups.",
         );
-        for (cache, hits, misses) in [
-            ("ordering", g.ordering_cache_hits, g.ordering_cache_misses),
-            ("symbolic", g.symbolic_cache_hits, g.symbolic_cache_misses),
+        for (cache, stats) in [
+            ("ordering", &g.ordering_cache),
+            ("symbolic", &g.symbolic_cache),
         ] {
-            out.push_str(&format!(
-                "mems_serve_ordering_cache_events_total{{cache=\"{cache}\",event=\"hit\"}} {hits}\n"
-            ));
-            out.push_str(&format!(
-                "mems_serve_ordering_cache_events_total{{cache=\"{cache}\",event=\"miss\"}} {misses}\n"
-            ));
+            cache_events(
+                &mut out,
+                "mems_serve_ordering_cache_events_total",
+                &format!("cache=\"{cache}\","),
+                stats,
+            );
         }
 
         self.chunk_seconds.render_into(
@@ -545,7 +546,10 @@ mod tests {
         let g = Gauges {
             uptime_seconds: 1.5,
             queue_depth_chunks: 7,
-            cache_hits: 3,
+            artifact_cache: CacheStats {
+                hits: 3,
+                ..CacheStats::default()
+            },
             ..Gauges::default()
         };
         let body = m.render(&g);

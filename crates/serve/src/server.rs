@@ -43,7 +43,10 @@ pub struct ServeConfig {
     /// Max *terminal* jobs kept resident in the registry
     /// (`--job-cap`). Every job retirement evicts the
     /// oldest-finished jobs over the cap, so a long-lived daemon's
-    /// registry stays bounded; an evicted job's id answers 404.
+    /// registry stays bounded. An evicted job's id answers 404 —
+    /// unless `--data-dir` is set, in which case the job is demoted to
+    /// the durable store and keeps answering 200 with
+    /// `"stored":true`.
     pub job_cap: usize,
     /// Max decks resident in the artifact cache.
     pub cache_cap: usize,
@@ -228,6 +231,10 @@ impl Server {
                         break;
                     }
                     let Ok(mut stream) = stream else { continue };
+                    // Responses go out as a head write then a body
+                    // write; with Nagle on, a keep-alive client's
+                    // delayed ACK would hold the body back ~40 ms.
+                    let _ = stream.set_nodelay(true);
                     // Connection cap: refuse loudly rather than let a
                     // connection flood pile up threads. The count is
                     // reserved here (not in the handler) so a burst
@@ -718,6 +725,7 @@ fn health(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
         let active = jobs.values().filter(|j| !j.state().is_terminal()).count();
         (active, jobs.len())
     };
+    let cache = shared.cache.stats();
     let store = shared.store.as_ref().map(|s| s.stats());
     let body = format!(
         concat!(
@@ -731,9 +739,9 @@ fn health(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
         shared.started.elapsed().as_micros(),
         active,
         total,
-        shared.cache.len(),
-        shared.cache.hits.load(Ordering::Relaxed),
-        shared.cache.misses.load(Ordering::Relaxed),
+        cache.entries,
+        cache.hits,
+        cache.misses,
         store.is_some(),
         store.as_ref().map_or(0, |s| s.jobs),
         store.as_ref().is_some_and(|s| s.degraded),
@@ -743,23 +751,15 @@ fn health(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
 
 /// `GET /v1/metrics`: the Prometheus text-format scrape.
 fn metrics(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
-    let (ordering_cache_hits, ordering_cache_misses) = mems_numerics::ordering::cache_stats();
-    let (symbolic_cache_hits, symbolic_cache_misses) =
-        mems_numerics::supernodal::symbolic_cache_stats();
     let gauges = Gauges {
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
         draining: shared.sched.is_draining(),
         connections_active: shared.conns.load(Ordering::SeqCst),
         queue_depth_chunks: shared.sched.queue_depth(),
         jobs_active: shared.sched.active_jobs(),
-        cache_entries: shared.cache.len(),
-        cache_hits: shared.cache.hits.load(Ordering::Relaxed),
-        cache_misses: shared.cache.misses.load(Ordering::Relaxed),
-        cache_evictions: shared.cache.evictions.load(Ordering::Relaxed),
-        ordering_cache_hits,
-        ordering_cache_misses,
-        symbolic_cache_hits,
-        symbolic_cache_misses,
+        artifact_cache: shared.cache.stats(),
+        ordering_cache: mems_numerics::ordering::cache_snapshot(),
+        symbolic_cache: mems_numerics::supernodal::symbolic_cache_snapshot(),
         store: shared.store.as_ref().map(|s| s.stats()),
     };
     let body = shared.metrics.render(&gauges);
@@ -832,20 +832,28 @@ fn submit(shared: &Shared, stream: &mut TcpStream, req: &Request) -> std::io::Re
     if let Some(store) = &shared.store {
         store.begin(job.id, &job.client, job.points.len(), job.entry.fingerprint);
     }
+    // Register before admission too: a fast job can finish, and run
+    // its registry eviction pass, before `submit` returns; a job
+    // registered only afterwards would slip past that pass.
+    shared
+        .jobs
+        .lock()
+        .expect("no poisoned registry lock")
+        .insert(id, Arc::clone(&job));
     match shared.sched.submit(&job) {
         Ok(()) => {
             shared
                 .metrics
                 .jobs_submitted
                 .fetch_add(1, Ordering::Relaxed);
+            respond(stream, 201, &[], &job.status_json())
+        }
+        Err(refusal) => {
             shared
                 .jobs
                 .lock()
                 .expect("no poisoned registry lock")
-                .insert(id, Arc::clone(&job));
-            respond(stream, 201, &[], &job.status_json())
-        }
-        Err(refusal) => {
+                .remove(&id);
             if let Some(store) = &shared.store {
                 store.discard(job.id);
             }

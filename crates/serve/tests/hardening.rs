@@ -1,7 +1,7 @@
 //! Hardening tests against a live server: streaming results (first
 //! chunk before the job finishes), `/v1/metrics` movement, connection
-//! caps and read timeouts, HTTP/1.0 close semantics, malformed
-//! requests, and the drain × streaming interaction.
+//! caps and read timeouts, HTTP/1.0 close semantics, keep-alive
+//! latency, malformed requests, and the drain × streaming interaction.
 
 use mems_serve::http::{read_chunk, read_chunked_body};
 use mems_serve::{Json, ServeConfig, Server};
@@ -257,6 +257,52 @@ fn http10_responses_close_the_connection() {
     assert!(text.contains("Connection: close"), "{text}");
     let body_at = text.find("\r\n\r\n").unwrap() + 4;
     parsed(&text[body_at..]); // raw body is one complete JSON document
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn keep_alive_responses_are_not_held_back_by_delayed_acks() {
+    // Regression: a response is written as a head then a body. With
+    // Nagle's algorithm on, the body waited for the client's delayed
+    // ACK of the head (≥ 40 ms on Linux) on every reused connection.
+    let server = Server::start(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    const REQUESTS: u32 = 20;
+    let t0 = Instant::now();
+    for _ in 0..REQUESTS {
+        writer
+            .write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let (status, headers) = read_head(&mut reader);
+        assert_eq!(status, 200);
+        let length: usize = headers
+            .iter()
+            .find(|(k, _)| k == "content-length")
+            .map(|(_, v)| v.parse().unwrap())
+            .unwrap();
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).unwrap();
+    }
+    let elapsed = t0.elapsed();
+    // A stalled response costs ≥ 40 ms; a healthy one well under 1 ms.
+    // Allow 10 ms a request on average, far below the stall.
+    assert!(
+        elapsed < Duration::from_millis(10) * REQUESTS,
+        "{REQUESTS} keep-alive round trips took {elapsed:?}"
+    );
 
     server.shutdown();
     server.join();

@@ -37,8 +37,8 @@ pub struct SimOptions {
     /// unknowns).
     pub matrix: MatrixBackend,
     /// Fill-reducing column ordering for the sparse backend (deck
-    /// option `order=amd|natural`; `Amd` by default). Ignored by the
-    /// dense backend.
+    /// option `order=nd|amd|natural|auto`; `Auto` by default).
+    /// Ignored by the dense backend.
     pub ordering: FillOrdering,
     /// Numeric factorization path for the sparse backend (deck option
     /// `factor=auto|scalar|super`; `Auto` switches to the supernodal

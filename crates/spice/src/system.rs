@@ -663,10 +663,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
                     self.factored = true;
                     return Ok(());
                 }
-                Err(e) => {
-                    if std::env::var_os("MEMS_SNL_DEBUG").is_some() {
-                        eprintln!("supernodal fallback: {e:?}");
-                    }
+                Err(_) => {
                     self.snl = None;
                     self.snl_dead = true;
                     self.stat_fallbacks += 1;
