@@ -6,16 +6,17 @@
 //! with its reusable register banks — the per-iteration cost every
 //! DC/transient solve pays per behavioral device.
 //!
-//! Group 2 times a 40-point `.STEP` batch of an HDL deck with
-//! per-point re-elaboration (parse tree → circuit per point, the
-//! PR 2 behavior) against the elaborate-once `set_param` path (one
-//! circuit per worker, parameters re-bound in place).
+//! Group 2 times a 40-point `.STEP` batch of an HDL deck on the
+//! elaborate-once `set_param` path (one circuit per worker, parameters
+//! re-bound in place).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mems_hdl::eval::{DualReal, EvalEnv};
-use mems_hdl::model::{EvalMode, HdlModel, Instance};
+use mems_hdl::eval::{run_pass, Analysis, DualReal, EvalEnv, InstanceState};
+use mems_hdl::model::HdlModel;
+use mems_hdl::Result;
 use mems_netlist::{run_batch, BatchOptions, Deck};
 use mems_numerics::ode::IntegrationMethod;
+use mems_numerics::pwl::Pwl1;
 
 const LISTING1: &str = r#"
 ENTITY eletran IS
@@ -99,20 +100,48 @@ impl EvalEnv<DualReal> for SinkEnv {
     fn report(&mut self, _message: &str) {}
 }
 
-fn primed_instance(src: &str, entity: &str, mode: EvalMode) -> Instance {
-    let model = HdlModel::compile(src, entity, None).expect("bench model compiles");
-    let mut inst = model
-        .instantiate("i1", &[("a", 1.0e-4), ("d", 0.15e-3), ("er", 1.0)])
-        .expect("bench model instantiates");
-    inst.set_eval_mode(mode);
-    let mut env = SinkEnv {
-        v_elec: 0.0,
-        v_mech: 0.0,
-        sink: 0.0,
-    };
-    inst.eval_dc(&mut env).expect("dc pass");
-    inst.commit_dc();
-    inst
+const GENERICS: [(&str, f64); 3] = [("a", 1.0e-4), ("d", 0.15e-3), ("er", 1.0)];
+
+/// The reference tree walk over one instance's bound generics, `init`
+/// values, tables and state, each built by the tree-side elaborators.
+struct TreeWalk {
+    model: HdlModel,
+    generics: Vec<f64>,
+    init_values: Vec<Option<f64>>,
+    tables: Vec<Pwl1>,
+    state: InstanceState,
+}
+
+impl TreeWalk {
+    fn new(model: &HdlModel) -> Self {
+        let inst = model
+            .instantiate("i1", &GENERICS)
+            .expect("bench model instantiates");
+        let generics = inst.generics().to_vec();
+        let init_values = model.init_values_with(&generics, false).expect("init runs");
+        let tables = model
+            .fold_tables_with(&generics, &init_values, false)
+            .expect("fold runs");
+        TreeWalk {
+            model: model.clone(),
+            generics,
+            init_values,
+            tables,
+            state: inst.state,
+        }
+    }
+
+    fn pass(&mut self, analysis: Analysis, env: &mut SinkEnv) -> Result<()> {
+        run_pass(
+            self.model.compiled(),
+            analysis,
+            &self.generics,
+            &self.init_values,
+            &self.tables,
+            &mut self.state,
+            env,
+        )
+    }
 }
 
 fn bench_eval(c: &mut Criterion) {
@@ -120,31 +149,48 @@ fn bench_eval(c: &mut Criterion) {
         "HDL evaluation",
         "per-Newton-iteration pass: tree-walk interpreter vs bytecode VM",
     );
+    let h = 1e-6;
+    let method = IntegrationMethod::Trapezoidal;
+    let rest = || SinkEnv {
+        v_elec: 0.0,
+        v_mech: 0.0,
+        sink: 0.0,
+    };
     for (entity, src) in [("eletran", LISTING1), ("gnarly", GNARLY)] {
-        let group_name = format!("hdl_eval_{entity}_transient_pass");
-        let mut group = c.benchmark_group(&group_name);
-        for (id, mode) in [
-            ("tree_walk", EvalMode::TreeWalk),
-            ("bytecode", EvalMode::Bytecode),
-        ] {
-            let mut inst = primed_instance(src, entity, mode);
+        let model = HdlModel::compile(src, entity, None).expect("bench model compiles");
+        // Both evaluators primed by a committed DC pass.
+        let mut tree = TreeWalk::new(&model);
+        tree.pass(Analysis::Dc, &mut rest()).expect("dc pass");
+        tree.state.commit_dc();
+        let mut byte = model
+            .instantiate("i1", &GENERICS)
+            .expect("bench model instantiates");
+        byte.eval_dc(&mut rest()).expect("dc pass");
+        byte.commit_dc();
+
+        let mut group = c.benchmark_group(&format!("hdl_eval_{entity}_transient_pass"));
+        let mut time = |id: &str, pass: &mut dyn FnMut(&mut SinkEnv) -> Result<()>| {
             let mut env = SinkEnv {
                 v_elec: 0.0,
                 v_mech: 1e-6,
                 sink: 0.0,
             };
-            let h = 1e-6;
             let mut k = 0u64;
             group.bench_function(id, |b| {
                 b.iter(|| {
                     k += 1;
                     env.v_elec = 5.0 + (k % 7) as f64;
-                    inst.eval_transient(h, h, IntegrationMethod::Trapezoidal, &mut env)
-                        .expect("transient pass");
+                    pass(&mut env).expect("transient pass");
                     black_box(env.sink)
                 })
             });
-        }
+        };
+        time("tree_walk", &mut |env| {
+            tree.pass(Analysis::Transient { t: h, h, method }, env)
+        });
+        time("bytecode", &mut |env| {
+            byte.eval_transient(h, h, method, env)
+        });
         group.finish();
     }
 }
@@ -166,26 +212,20 @@ fn hdl_step_deck() -> String {
 fn bench_batch(c: &mut Criterion) {
     mems_bench::print_banner(
         "HDL batch elaboration",
-        "40-point .STEP: per-point re-elaboration vs elaborate-once set_param",
+        "40-point .STEP on the elaborate-once set_param path",
     );
     let src = hdl_step_deck();
     let deck = Deck::parse(&src).expect("bench deck parses");
-    for (id, reelaborate) in [("reelaborate_per_point", true), ("elaborate_once", false)] {
-        let opts = BatchOptions {
-            threads: 1,
-            reelaborate,
-            cancel: None,
-        };
-        // Sanity outside the timed region.
-        let check = run_batch(&deck, &opts).expect("batch runs");
-        assert_eq!(check.ok_count(), 40, "{id}: points failed");
-        let mut group = c.benchmark_group("hdl_step_40pt");
-        group.sample_size(10);
-        group.bench_function(id, |b| {
-            b.iter(|| run_batch(&deck, &opts).expect("batch runs"))
-        });
-        group.finish();
-    }
+    let opts = BatchOptions::with_threads(1);
+    // Sanity outside the timed region.
+    let check = run_batch(&deck, &opts).expect("batch runs");
+    assert_eq!(check.ok_count(), 40, "points failed");
+    let mut group = c.benchmark_group("hdl_step_40pt");
+    group.sample_size(10);
+    group.bench_function("elaborate_once", |b| {
+        b.iter(|| run_batch(&deck, &opts).expect("batch runs"))
+    });
+    group.finish();
 }
 
 /// The elaboration-time `init` program: tree interpreter vs the

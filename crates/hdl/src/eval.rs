@@ -12,6 +12,10 @@
 //!
 //! The enclosing simulator implements [`EvalEnv`] to supply across
 //! quantities and receive contributions/residuals.
+//!
+//! Instances run on the bytecode VM ([`crate::bytecode`]); this tree
+//! walk is the reference it is tested against, called directly by the
+//! differential tests and the evaluator benchmarks.
 
 use crate::ast::{BinOp, UnOp};
 use crate::compile::{fold_binop, Builtin, CExpr, CStmt, CompiledModel};

@@ -84,5 +84,5 @@ pub mod symbolic;
 pub mod token;
 
 pub use error::{HdlError, Result};
-pub use model::{EvalMode, HdlModel, Instance};
+pub use model::{HdlModel, Instance};
 pub use nature::{Nature, QuantityKind};

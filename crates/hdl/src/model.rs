@@ -28,24 +28,12 @@ use crate::ast::ObjectKind;
 use crate::bytecode::{run_init_tape, run_pass_bytecode, run_table_fold, BytecodeModel, RegBank};
 use crate::compile::{fold_binop, fold_builtin, CExpr, CStmt, CompiledModel};
 use crate::error::{HdlError, Result};
-use crate::eval::{run_pass, Analysis, DualComplex, DualReal, EvalEnv, InstanceState};
+use crate::eval::{Analysis, DualComplex, DualReal, EvalEnv, InstanceState};
 use crate::parser::parse;
 use crate::sema;
 use mems_numerics::ode::IntegrationMethod;
 use mems_numerics::pwl::Pwl1;
 use std::sync::Arc;
-
-/// Which evaluator an [`Instance`] runs its analysis passes with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// The flat bytecode VM with reusable register banks (default —
-    /// the per-Newton-iteration hot path).
-    #[default]
-    Bytecode,
-    /// The reference tree-walking interpreter (differential testing,
-    /// benchmarking).
-    TreeWalk,
-}
 
 /// A compiled HDL-A model ready for instantiation.
 #[derive(Debug, Clone)]
@@ -120,7 +108,6 @@ impl HdlModel {
             init_values,
             tables,
             state,
-            mode: EvalMode::default(),
             bank_real: RegBank::default(),
             bank_complex: RegBank::default(),
         })
@@ -254,7 +241,6 @@ pub struct Instance {
     tables: Vec<Pwl1>,
     /// Run-time state (histories, committed values, reports).
     pub state: InstanceState,
-    mode: EvalMode,
     bank_real: RegBank<DualReal>,
     bank_complex: RegBank<DualComplex>,
 }
@@ -281,42 +267,19 @@ impl Instance {
         self.model.n_unknowns
     }
 
-    /// The evaluator this instance runs with.
-    pub fn eval_mode(&self) -> EvalMode {
-        self.mode
-    }
-
-    /// Selects the evaluator (bytecode VM by default; the tree walk
-    /// is kept for differential testing and benchmarking).
-    pub fn set_eval_mode(&mut self, mode: EvalMode) {
-        self.mode = mode;
-    }
-
-    /// Evaluates one real-gradient analysis pass under the selected
-    /// evaluator.
+    /// Evaluates one real-gradient analysis pass on the bytecode VM.
     fn eval_real(&mut self, analysis: Analysis, env: &mut dyn EvalEnv<DualReal>) -> Result<()> {
-        match self.mode {
-            EvalMode::Bytecode => run_pass_bytecode(
-                &self.model,
-                &self.bytecode,
-                analysis,
-                &self.generics,
-                &self.init_values,
-                &self.tables,
-                &mut self.state,
-                &mut self.bank_real,
-                env,
-            ),
-            EvalMode::TreeWalk => run_pass(
-                &self.model,
-                analysis,
-                &self.generics,
-                &self.init_values,
-                &self.tables,
-                &mut self.state,
-                env,
-            ),
-        }
+        run_pass_bytecode(
+            &self.model,
+            &self.bytecode,
+            analysis,
+            &self.generics,
+            &self.init_values,
+            &self.tables,
+            &mut self.state,
+            &mut self.bank_real,
+            env,
+        )
     }
 
     /// Evaluates the DC program.
@@ -349,29 +312,17 @@ impl Instance {
     ///
     /// Propagates evaluation failures.
     pub fn eval_ac(&mut self, omega: f64, env: &mut dyn EvalEnv<DualComplex>) -> Result<()> {
-        let analysis = Analysis::Ac { omega };
-        match self.mode {
-            EvalMode::Bytecode => run_pass_bytecode(
-                &self.model,
-                &self.bytecode,
-                analysis,
-                &self.generics,
-                &self.init_values,
-                &self.tables,
-                &mut self.state,
-                &mut self.bank_complex,
-                env,
-            ),
-            EvalMode::TreeWalk => run_pass(
-                &self.model,
-                analysis,
-                &self.generics,
-                &self.init_values,
-                &self.tables,
-                &mut self.state,
-                env,
-            ),
-        }
+        run_pass_bytecode(
+            &self.model,
+            &self.bytecode,
+            Analysis::Ac { omega },
+            &self.generics,
+            &self.init_values,
+            &self.tables,
+            &mut self.state,
+            &mut self.bank_complex,
+            env,
+        )
     }
 
     /// Commits the latest converged DC evaluation as initial history.

@@ -2,8 +2,8 @@
 //! Carlo, running points in parallel across threads. Each worker
 //! elaborates the deck once and re-binds parameters in place through
 //! the devices' `set_param` path per point (see
-//! [`crate::elab::Elaborator::patch`]); `BatchOptions::reelaborate`
-//! forces the old rebuild-per-point behavior, which is bit-identical.
+//! [`crate::elab::Elaborator::patch`]); the tests check this against
+//! a rebuild-per-point reference, bit for bit.
 //!
 //! Determinism: every point's parameter values are derived from a
 //! splitmix64 hash of `(seed, point index, variable index)` — never
@@ -60,13 +60,6 @@ impl CancelToken {
 pub struct BatchOptions {
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Forces per-point re-elaboration (parse tree → circuit) instead
-    /// of the default elaborate-once path, where each worker builds
-    /// its circuits once and re-binds parameters in place through the
-    /// devices' `set_param` hooks. The two paths are bit-identical
-    /// (enforced by tests); this switch exists for differential
-    /// testing and benchmarking.
-    pub reelaborate: bool,
     /// Cooperative cancellation: when the token trips, workers (and
     /// the sequential warm-start pre-chain) stop at the next point
     /// boundary; unvisited points are recorded as cancelled failures
@@ -75,8 +68,7 @@ pub struct BatchOptions {
 }
 
 impl BatchOptions {
-    /// Options with a fixed worker count and the default
-    /// elaborate-once path.
+    /// Options with a fixed worker count.
     pub fn with_threads(threads: usize) -> Self {
         BatchOptions {
             threads,
@@ -348,7 +340,7 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
     // last) keeps every point's guess — and therefore its converged
     // bits — independent of the thread count.
     let cancel = opts.cancel.clone().unwrap_or_default();
-    let op_guesses = warm_start_chain(deck, &chain_elab, &points, opts.reelaborate, &cancel);
+    let op_guesses = warm_start_chain(deck, &chain_elab, &points, false, &cancel);
 
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -384,13 +376,9 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
                 // topology, so the assembly workspace — including the
                 // sparse backend's symbolic factorization — AND the
                 // elaborated circuits themselves (parameter-patched in
-                // place via `set_param`, unless `reelaborate` opts
-                // out) carry across every point this worker simulates.
-                let mut ctx = if opts.reelaborate {
-                    RunCtx::without_reuse()
-                } else {
-                    RunCtx::default()
-                };
+                // place via `set_param`) carry across every point this
+                // worker simulates.
+                let mut ctx = RunCtx::default();
                 loop {
                     if cancel.is_cancelled() {
                         break;
@@ -438,7 +426,8 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
 /// point; per-point failures yield `None` guesses (the point itself
 /// will surface its error when simulated). The chain runs
 /// elaborate-once itself: one circuit, parameter-patched per point
-/// (unless `reelaborate`) — and checks `cancel` between points,
+/// (`reelaborate` rebuilds it per point instead — the tests'
+/// rebuild-per-point reference) — and checks `cancel` between points,
 /// leaving the remaining guesses `None`.
 ///
 /// Public because the `mems serve` job runner pre-chains the same
@@ -458,7 +447,7 @@ pub fn warm_start_chain(
     if !has_tran || points.len() < 2 {
         return None;
     }
-    let mut ws: Option<Workspace> = None;
+    let mut ws = Workspace::new(0);
     let mut prev: Option<Vec<f64>> = None;
     let mut cached: Option<Circuit> = None;
     let mut guesses = Vec::with_capacity(points.len());
@@ -477,10 +466,7 @@ pub fn warm_start_chain(
         let guess = ckt.and_then(|mut ckt| {
             let env = crate::elab::param_env(deck, &overrides).ok()?;
             let sim = sim_options(deck, &env).ok()?;
-            let ws = ws.get_or_insert_with(|| {
-                Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads)
-            });
-            let op = dcop::solve_in(&mut ckt, &sim, prev.as_deref(), ws).ok();
+            let op = dcop::solve_in(&mut ckt, &sim, prev.as_deref(), &mut ws).ok();
             if !reelaborate {
                 cached = Some(ckt);
             }
@@ -817,7 +803,6 @@ X1 in out div
             &BatchOptions {
                 threads: 2,
                 cancel: Some(cancel),
-                ..BatchOptions::default()
             },
         )
         .unwrap();
@@ -855,7 +840,6 @@ X1 in out div
             &BatchOptions {
                 threads: 1,
                 cancel: Some(cancel),
-                ..BatchOptions::default()
             },
         )
         .unwrap();

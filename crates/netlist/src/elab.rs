@@ -35,7 +35,7 @@ use mems_spice::devices::{
 use mems_spice::output::{AcResult, OpSolution, TranResult};
 use mems_spice::solver::SimOptions;
 use mems_spice::solver::Workspace;
-use mems_spice::system::{new_system_solver, FactorKind, FillOrdering, SolverStats, SystemMatrix};
+use mems_spice::system::{FactorKind, FillOrdering, SolverPolicy, SolverStats, SystemMatrix};
 use mems_spice::wave::Waveform;
 use mems_spice::MatrixBackend;
 use std::collections::HashMap;
@@ -992,24 +992,16 @@ pub struct RunStats {
 /// same topology, so the assembly workspace (and the sparse backend's
 /// symbolic factorization living inside it) is shared across points,
 /// a deterministic operating-point guess can warm-start each point's
-/// Newton solves, and — with `reuse_circuits` (the default) — the
-/// elaborated circuits themselves persist across points, re-bound in
-/// place through the devices' `set_param` path instead of rebuilt
-/// from the parse tree.
+/// Newton solves, and the elaborated circuits themselves persist
+/// across points, re-bound in place through the devices' `set_param`
+/// path instead of rebuilt from the parse tree.
+#[derive(Default)]
 pub struct RunCtx {
     /// Shared assembly workspace (lazily sized to the circuit).
     pub ws: Option<Workspace>,
-    /// Shared complex system for `.AC` analyses, with the backend,
-    /// ordering, factorization kind, and thread budget it was built
-    /// for (rebuilt when any of them change).
-    #[allow(clippy::type_complexity)]
-    ac_sys: Option<(
-        Box<dyn SystemMatrix<Complex64>>,
-        MatrixBackend,
-        FillOrdering,
-        FactorKind,
-        usize,
-    )>,
+    /// Shared complex system for `.AC` analyses, with the solver
+    /// policy it was built under (rebuilt when it no longer fits).
+    ac_sys: Option<(Box<dyn SystemMatrix<Complex64>>, SolverPolicy)>,
     /// Newton guess for DC operating points (e.g. the previous batch
     /// point's solved operating point).
     pub op_guess: Option<Vec<f64>>,
@@ -1022,43 +1014,13 @@ pub struct RunCtx {
     /// circuits — name/kind checks could pass on boilerplate device
     /// names while the node wiring differs.
     deck_fp: Option<u64>,
-    /// When `true` (default), circuits are cached across points and
-    /// parameter-patched; when `false`, every analysis re-elaborates
-    /// the deck (the pre-elaborate-once behavior, kept for
-    /// differential testing and benchmarking).
-    pub reuse_circuits: bool,
     /// Patch-vs-build counters over the context's lifetime.
     pub stats: RunStats,
 }
 
-impl Default for RunCtx {
-    fn default() -> Self {
-        RunCtx {
-            ws: None,
-            ac_sys: None,
-            op_guess: None,
-            ckts: HashMap::new(),
-            deck_fp: None,
-            reuse_circuits: true,
-            stats: RunStats::default(),
-        }
-    }
-}
-
 impl RunCtx {
-    /// A context that re-elaborates the deck per point instead of
-    /// patching cached circuits.
-    pub fn without_reuse() -> Self {
-        RunCtx {
-            reuse_circuits: false,
-            ..RunCtx::default()
-        }
-    }
-
-    fn workspace(&mut self, sim: &SimOptions) -> &mut Workspace {
-        self.ws.get_or_insert_with(|| {
-            Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads)
-        })
+    fn workspace(&mut self) -> &mut Workspace {
+        self.ws.get_or_insert_with(|| Workspace::new(0))
     }
 
     /// Whether the context carries reusable artifacts from earlier
@@ -1077,22 +1039,6 @@ impl RunCtx {
         if self.deck_fp != Some(fp) {
             self.ckts.clear();
             self.deck_fp = Some(fp);
-        }
-    }
-
-    /// Hands out the cached circuit of an analysis slot, if any.
-    fn take_circuit(&mut self, slot: usize) -> Option<Circuit> {
-        if self.reuse_circuits {
-            self.ckts.remove(&slot)
-        } else {
-            None
-        }
-    }
-
-    /// Returns a circuit to its slot for the next point.
-    fn stash_circuit(&mut self, slot: usize, ckt: Circuit) {
-        if self.reuse_circuits {
-            self.ckts.insert(slot, ckt);
         }
     }
 
@@ -1115,27 +1061,18 @@ impl RunCtx {
     }
 
     /// The shared complex (AC) system matrix, re-targeted to `n`
-    /// unknowns under `backend`. Cached structure survives between
-    /// calls with matching order and backend — the batch-point reuse
-    /// mirror of [`Workspace::ensure`].
+    /// unknowns under the solver policy of `sim`. Cached structure
+    /// survives between calls while the system still fits (see
+    /// [`SolverPolicy::fits`]) — the same rule as
+    /// [`Workspace::ensure_solver`].
     fn ac_system(&mut self, n: usize, sim: &SimOptions) -> &mut dyn SystemMatrix<Complex64> {
-        let (backend, ordering) = (sim.matrix, sim.ordering);
-        let (factor, threads) = (sim.factor, sim.factor_threads);
-        let stale = self.ac_sys.as_ref().is_none_or(|(sys, b, o, f, t)| {
-            let sparse = backend.resolve(n) == MatrixBackend::Sparse;
-            sys.n() != n
-                || b.resolve(n) != backend.resolve(n)
-                || (sparse && *o != ordering)
-                || (sparse && (f.resolve(n) != factor.resolve(n) || *t != threads))
-        });
-        if stale {
-            self.ac_sys = Some((
-                new_system_solver(n, backend, ordering, factor, threads),
-                backend,
-                ordering,
-                factor,
-                threads,
-            ));
+        let want = sim.solver_policy();
+        let fits = self
+            .ac_sys
+            .as_ref()
+            .is_some_and(|(sys, built)| built.fits(sys.n(), n, &want));
+        if !fits {
+            self.ac_sys = Some((want.build(n), want));
         }
         self.ac_sys.as_mut().expect("just ensured").0.as_mut()
     }
@@ -1172,8 +1109,8 @@ pub fn run_elaborated(elab: &Elaborator<'_>, overrides: &ParamEnv) -> Result<Dec
 }
 
 /// Obtains the circuit for one analysis slot: patches the slot's
-/// cached circuit in place when the context reuses circuits and every
-/// device supports `set_param`, otherwise re-elaborates.
+/// cached circuit in place when there is one and every device
+/// supports `set_param`, otherwise re-elaborates.
 ///
 /// # Errors
 ///
@@ -1186,7 +1123,7 @@ fn obtain_circuit(
     overrides: &ParamEnv,
     source_dc: Option<(&str, f64)>,
 ) -> Result<Circuit> {
-    if let Some(mut ckt) = ctx.take_circuit(slot) {
+    if let Some(mut ckt) = ctx.ckts.remove(&slot) {
         if elab.patch(&mut ckt, overrides, source_dc)? {
             ctx.stats.circuits_patched += 1;
             return Ok(ckt);
@@ -1252,9 +1189,9 @@ pub fn run_elaborated_ctx(
             AnalysisCard::Op { .. } => {
                 let mut ckt = obtain_circuit(elab, ctx, slot, overrides, None)?;
                 let guess = ctx.op_guess.clone();
-                let ws = ctx.workspace(&sim);
+                let ws = ctx.workspace();
                 let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ws)?;
-                ctx.stash_circuit(slot, ckt);
+                ctx.ckts.insert(slot, ckt);
                 AnalysisOutcome::Op(op)
             }
             AnalysisCard::Dc {
@@ -1271,8 +1208,7 @@ pub fn run_elaborated_ctx(
                 // (handed back point to point by
                 // `dc_sweep_reuse_in`), seeded from the slot's cached
                 // circuit and stashed again afterwards.
-                let reuse = ctx.reuse_circuits;
-                let mut seed = ctx.take_circuit(slot);
+                let mut seed = ctx.ckts.remove(&slot);
                 let (var_name, result, last) = match var {
                     DcSweepVar::Source(src) => {
                         if !elab.has_source(src) {
@@ -1283,17 +1219,13 @@ pub fn run_elaborated_ctx(
                         }
                         let (result, last) = dc_sweep_reuse_in(
                             |v, prev| {
-                                let from = if reuse {
-                                    prev.or_else(|| seed.take())
-                                } else {
-                                    None
-                                };
+                                let from = prev.or_else(|| seed.take());
                                 patch_or_build(elab, from, overrides, Some((src.as_str(), v)))
                                     .map_err(to_spice_build)
                             },
                             &values,
                             &sim,
-                            ctx.workspace(&sim),
+                            ctx.workspace(),
                         )?;
                         (format!("v({src})"), result, last)
                     }
@@ -1308,22 +1240,18 @@ pub fn run_elaborated_ctx(
                             |v, prev| {
                                 let mut o = overrides.clone();
                                 o.insert(p.clone(), v);
-                                let from = if reuse {
-                                    prev.or_else(|| seed.take())
-                                } else {
-                                    None
-                                };
+                                let from = prev.or_else(|| seed.take());
                                 patch_or_build(elab, from, &o, None).map_err(to_spice_build)
                             },
                             &values,
                             &sim,
-                            ctx.workspace(&sim),
+                            ctx.workspace(),
                         )?;
                         (format!("param({p})"), result, last)
                     }
                 };
                 if let Some(ckt) = last {
-                    ctx.stash_circuit(slot, ckt);
+                    ctx.ckts.insert(slot, ckt);
                 }
                 AnalysisOutcome::Dc {
                     var: var_name,
@@ -1360,10 +1288,10 @@ pub fn run_elaborated_ctx(
                 // shared complex system.
                 let freqs = fs.frequencies().map_err(NetlistError::from)?;
                 let guess = ctx.op_guess.clone();
-                let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ctx.workspace(&sim))?;
+                let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ctx.workspace())?;
                 let sys = ctx.ac_system(op.layout.n_unknowns, &sim);
                 let ac = run_ac_with_op_in(&mut ckt, &freqs, &op, sys)?;
-                ctx.stash_circuit(slot, ckt);
+                ctx.ckts.insert(slot, ckt);
                 AnalysisOutcome::Ac(ac)
             }
             AnalysisCard::Tran {
@@ -1392,9 +1320,9 @@ pub fn run_elaborated_ctx(
                 };
                 let mut ckt = obtain_circuit(elab, ctx, slot, overrides, None)?;
                 let guess = ctx.op_guess.clone();
-                let ws = ctx.workspace(&sim);
+                let ws = ctx.workspace();
                 let tr = run_tran_in(&mut ckt, &opts, &sim, guess.as_deref(), ws)?;
-                ctx.stash_circuit(slot, ckt);
+                ctx.ckts.insert(slot, ckt);
                 AnalysisOutcome::Tran(tr)
             }
         };

@@ -90,11 +90,14 @@ impl Pwl1 {
         &self.ys
     }
 
-    /// Index of the segment containing `x` (clamped to valid segments).
+    /// Index of the segment containing `x` (clamped to valid segments;
+    /// a NaN `x` lands in the last one).
     fn segment(&self, x: f64) -> usize {
+        // Breakpoints are finite by invariant, so only a NaN `x` is
+        // unordered.
         match self
             .xs
-            .binary_search_by(|probe| probe.partial_cmp(&x).expect("finite by invariant"))
+            .binary_search_by(|probe| probe.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Less))
         {
             Ok(i) => i.min(self.xs.len() - 2),
             Err(0) => 0,
@@ -255,6 +258,19 @@ mod tests {
         assert_eq!(t.eval(2.0), 0.0);
         assert_eq!(t.deriv(0.5), 2.0);
         assert_eq!(t.deriv(2.5), -2.0);
+    }
+
+    #[test]
+    fn nan_lookup_yields_nan_without_panicking() {
+        for t in [
+            Pwl1::new(vec![0.0, 1.0, 3.0], vec![0.0, 2.0, -2.0]).unwrap(),
+            Pwl1::new(vec![0.0, 1.0, 3.0], vec![0.0, 2.0, -2.0])
+                .unwrap()
+                .with_extrapolation(Extrapolation::Clamp),
+        ] {
+            assert!(t.eval(f64::NAN).is_nan());
+            assert_eq!(t.deriv(f64::NAN), -2.0, "the last segment's slope");
+        }
     }
 
     #[test]

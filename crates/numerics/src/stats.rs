@@ -86,11 +86,12 @@ pub fn settled_value(ys: &[f64], frac: f64) -> f64 {
     tail.iter().sum::<f64>() / tail.len() as f64
 }
 
-/// Index and value of the sample with maximum absolute value.
+/// Index and value of the sample with maximum absolute value (a NaN
+/// sample, if any, counts as the peak).
 pub fn peak(ys: &[f64]) -> Option<(usize, f64)> {
     ys.iter()
         .enumerate()
-        .max_by(|(_, a), (_, b)| a.abs().partial_cmp(&b.abs()).expect("finite traces"))
+        .max_by(|(_, a), (_, b)| a.abs().total_cmp(&b.abs()))
         .map(|(i, &v)| (i, v))
 }
 
@@ -155,6 +156,13 @@ mod tests {
         assert_eq!(i, 1);
         assert_eq!(v, -5.0);
         assert!(peak(&[]).is_none());
+    }
+
+    #[test]
+    fn peak_of_a_nan_trace_does_not_panic() {
+        let (i, v) = peak(&[0.1, f64::NAN, -5.0]).unwrap();
+        assert_eq!(i, 1);
+        assert!(v.is_nan());
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub fn verify_admittance_ac(
     let sim = SimOptions::default();
     let op = dcop::solve(&mut ckt, &sim)?;
     let freq_list = FreqSweep::List(freqs.to_vec()).frequencies()?;
-    let ac = run_with_op(&mut ckt, &freq_list, &op)?;
+    let ac = run_with_op(&mut ckt, &freq_list, &op, &sim)?;
     // The source branch current equals −i(model) (KCL at node p, the
     // unit AC source forces V(p) = 1∠0).
     let i_src = ac

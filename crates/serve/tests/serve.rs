@@ -202,6 +202,39 @@ fn second_submission_hits_the_fingerprint_cache() {
     server.join();
 }
 
+/// A sweep point whose source evaluates to NaN (`sin(inf · 0)` at
+/// `t = 0`) fails that point with the solver's diagnostic; the job
+/// still finishes and its other point succeeds.
+#[test]
+fn nan_point_fails_the_point_not_the_job() {
+    const NAN_STEP_DECK: &str = "nan step\n.param f=1e3\nV1 in 0 SIN(0 1 {f})\nR1 in 0 1k\n\
+        .tran 1m 3m\n.step param f LIST 1e308 1e3\n";
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let (status, body) = http(addr, "POST", "/v1/jobs", NAN_STEP_DECK);
+    assert_eq!(status, 201, "{body}");
+    let id = job_id(&body);
+    let done = wait_terminal(addr, id);
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}/results?from=0"), "");
+    assert_eq!(status, 200);
+    assert!(
+        body.contains("\"index\":0,\"params\":{\"f\":1.000000000000e308},\"status\":\"fail\"")
+            && body.contains("non-finite residual in row i(v1,0)"),
+        "{body}"
+    );
+    assert!(
+        body.contains("\"index\":1,\"params\":{\"f\":1.000000000000e3},\"status\":\"ok\""),
+        "{body}"
+    );
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn fair_share_lets_a_small_job_pass_a_big_one() {
     // One worker, two clients: the big client's 40-point transient

@@ -6,7 +6,7 @@ use crate::device::AcLoadCtx;
 use crate::error::{Result, SpiceError};
 use crate::output::{AcResult, OpSolution};
 use crate::solver::SimOptions;
-use crate::system::{new_system_solver, FactorKind, FillOrdering, MatrixBackend, SystemMatrix};
+use crate::system::SystemMatrix;
 use mems_numerics::Complex64;
 
 /// Frequency sweep specification.
@@ -102,92 +102,26 @@ impl FreqSweep {
 pub fn run(circuit: &mut Circuit, sweep: &FreqSweep, sim: &SimOptions) -> Result<AcResult> {
     let freqs = sweep.frequencies()?;
     let op = super::dcop::solve(circuit, sim)?;
-    run_with_op_solver(
-        circuit,
-        &freqs,
-        &op,
-        sim.matrix,
-        sim.ordering,
-        sim.factor,
-        sim.factor_threads,
-    )
+    run_with_op(circuit, &freqs, &op, sim)
 }
 
-/// Runs the sweep against an already-solved operating point (automatic
-/// backend selection).
+/// Runs the sweep against an already-solved operating point under
+/// the solver policy of `sim`. The complex system is assembled
+/// through [`SystemMatrix`], so all frequency points share one
+/// sparsity pattern — on the sparse backend the symbolic
+/// factorization from the first point is replayed numeric-only for
+/// every further point.
 ///
 /// # Errors
 ///
 /// Returns singular-system and device errors.
-pub fn run_with_op(circuit: &mut Circuit, freqs: &[f64], op: &OpSolution) -> Result<AcResult> {
-    run_with_op_backend(circuit, freqs, op, MatrixBackend::Auto)
-}
-
-/// [`run_with_op`] with an explicit matrix backend. The complex
-/// system is assembled through [`SystemMatrix`], so all frequency
-/// points share one sparsity pattern — on the sparse backend the
-/// symbolic factorization from the first point is replayed
-/// numeric-only for every further point.
-///
-/// # Errors
-///
-/// As [`run_with_op`].
-pub fn run_with_op_backend(
+pub fn run_with_op(
     circuit: &mut Circuit,
     freqs: &[f64],
     op: &OpSolution,
-    backend: MatrixBackend,
+    sim: &SimOptions,
 ) -> Result<AcResult> {
-    run_with_op_ordered(circuit, freqs, op, backend, FillOrdering::default())
-}
-
-/// [`run_with_op_backend`] with an explicit sparse fill-reducing
-/// ordering (ignored on the dense path).
-///
-/// # Errors
-///
-/// As [`run_with_op`].
-pub fn run_with_op_ordered(
-    circuit: &mut Circuit,
-    freqs: &[f64],
-    op: &OpSolution,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
-) -> Result<AcResult> {
-    run_with_op_solver(
-        circuit,
-        freqs,
-        op,
-        backend,
-        ordering,
-        FactorKind::default(),
-        0,
-    )
-}
-
-/// [`run_with_op_ordered`] with the full solver policy: the complex
-/// systems ride the same numeric factorization path (scalar or
-/// supernodal) as the real analyses.
-///
-/// # Errors
-///
-/// As [`run_with_op`].
-pub fn run_with_op_solver(
-    circuit: &mut Circuit,
-    freqs: &[f64],
-    op: &OpSolution,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
-    factor: FactorKind,
-    factor_threads: usize,
-) -> Result<AcResult> {
-    let mut sys: Box<dyn SystemMatrix<Complex64>> = new_system_solver(
-        op.layout.n_unknowns,
-        backend,
-        ordering,
-        factor,
-        factor_threads,
-    );
+    let mut sys = sim.solver_policy().build(op.layout.n_unknowns);
     run_with_op_in(circuit, freqs, op, sys.as_mut())
 }
 

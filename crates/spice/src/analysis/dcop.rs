@@ -16,38 +16,19 @@ use crate::solver::{newton, SimOptions, Workspace};
 ///
 /// Returns [`SpiceError::NoConvergence`] when every homotopy fails.
 pub fn solve(circuit: &mut Circuit, opts: &SimOptions) -> Result<OpSolution> {
-    solve_from(circuit, opts, None)
+    solve_in(circuit, opts, None, &mut Workspace::new(0))
 }
 
-/// [`solve`] warm-started from a previous solution: plain Newton runs
-/// from `guess` first (a sweep's previous point is usually a few
-/// iterations away), falling back to the cold-start homotopies when it
-/// diverges. A `guess` of the wrong length is ignored.
-///
-/// # Errors
-///
-/// As [`solve`].
-pub fn solve_from(
-    circuit: &mut Circuit,
-    opts: &SimOptions,
-    guess: Option<&[f64]>,
-) -> Result<OpSolution> {
-    let mut ws = Workspace::with_solver(
-        0,
-        opts.matrix,
-        opts.ordering,
-        opts.factor,
-        opts.factor_threads,
-    );
-    solve_in(circuit, opts, guess, &mut ws)
-}
-
-/// [`solve_from`] over a caller-owned [`Workspace`], the reuse hook
-/// for sweeps, transients, and `.STEP`/`.MC` batch points: when the
-/// workspace already matches the circuit's unknown count (same
-/// topology), its cached structure — notably the sparse backend's
-/// sparsity pattern and symbolic factorization — carries over and
-/// only the numeric factorization is redone.
+/// [`solve`] warm-started from `guess` over a caller-owned
+/// [`Workspace`], the reuse hook for sweeps, transients, and
+/// `.STEP`/`.MC` batch points. Plain Newton runs from `guess` first (a
+/// sweep's previous point is usually a few iterations away), falling
+/// back to the cold-start homotopies when it diverges; a `guess` of
+/// the wrong length is ignored. When the workspace already matches the
+/// circuit's unknown count (same topology), its cached structure —
+/// notably the sparse backend's sparsity pattern and symbolic
+/// factorization — carries over and only the numeric factorization is
+/// redone.
 ///
 /// # Errors
 ///
@@ -59,13 +40,7 @@ pub fn solve_in(
     ws: &mut Workspace,
 ) -> Result<OpSolution> {
     let layout = circuit.layout();
-    ws.ensure_solver(
-        layout.n_unknowns,
-        opts.matrix,
-        opts.ordering,
-        opts.factor,
-        opts.factor_threads,
-    );
+    ws.ensure_solver(layout.n_unknowns, opts);
     let x0 = match guess {
         Some(g) if g.len() == layout.n_unknowns => g.to_vec(),
         _ => vec![0.0; layout.n_unknowns],

@@ -1,7 +1,7 @@
 //! DC parameter sweeps.
 //!
-//! Each point is warm-started from the previous solution. The
-//! classic entry points rebuild the circuit per sweep value;
+//! Each point is warm-started from the previous solution.
+//! [`dc_sweep`] rebuilds the circuit per sweep value;
 //! [`dc_sweep_reuse_in`] hands the previous point's circuit back to
 //! the caller so a device-level `set_param` path can patch it in
 //! place instead.
@@ -38,38 +38,22 @@ impl SweepResult {
 /// Propagates build and convergence failures (the failing sweep value
 /// is included in the error detail).
 pub fn dc_sweep(
-    build: impl FnMut(f64) -> Result<Circuit>,
-    values: &[f64],
-    sim: &SimOptions,
-) -> Result<SweepResult> {
-    let mut ws =
-        Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads);
-    dc_sweep_in(build, values, sim, &mut ws)
-}
-
-/// [`dc_sweep`] over a caller-owned [`Workspace`]: besides the
-/// warm-start, every point shares one assembly workspace (and, on the
-/// sparse backend, one symbolic factorization — the rebuilt circuits
-/// have identical topology).
-///
-/// # Errors
-///
-/// As [`dc_sweep`].
-pub fn dc_sweep_in(
     mut build: impl FnMut(f64) -> Result<Circuit>,
     values: &[f64],
     sim: &SimOptions,
-    ws: &mut Workspace,
 ) -> Result<SweepResult> {
-    dc_sweep_reuse_in(|v, _| build(v), values, sim, ws).map(|(result, _)| result)
+    dc_sweep_reuse_in(|v, _| build(v), values, sim, &mut Workspace::new(0))
+        .map(|(result, _)| result)
 }
 
-/// The circuit-reuse form of [`dc_sweep_in`]: `supply(value, prev)`
-/// receives the previous point's circuit back (None on the first
-/// point) so callers with a device-level `set_param` path can patch
-/// one circuit in place instead of rebuilding per value. Returns the
-/// final circuit alongside the result so it can keep serving later
-/// sweeps (e.g. the next `.STEP`/`.MC` batch point).
+/// [`dc_sweep`] over a caller-owned [`Workspace`] (every point shares
+/// it, and on the sparse backend one symbolic factorization) and with
+/// circuit reuse: `supply(value, prev)` receives the previous point's
+/// circuit back (None on the first point) so callers with a
+/// device-level `set_param` path can patch one circuit in place
+/// instead of rebuilding per value. Returns the final circuit
+/// alongside the result so it can keep serving later sweeps (e.g. the
+/// next `.STEP`/`.MC` batch point).
 ///
 /// # Errors
 ///
@@ -177,7 +161,8 @@ mod tests {
         let mut c = quadratic_circuit(2.0).unwrap();
         let sim = SimOptions::default();
         let bad_guess = vec![1.0; 99];
-        let op = super::super::dcop::solve_from(&mut c, &sim, Some(&bad_guess)).unwrap();
+        let mut ws = Workspace::new(0);
+        let op = super::super::dcop::solve_in(&mut c, &sim, Some(&bad_guess), &mut ws).unwrap();
         assert!((op.by_label("v(out)").unwrap() - quadratic_expect(2.0)).abs() < 1e-5);
     }
 

@@ -68,33 +68,17 @@ impl TranOptions {
 /// - [`SpiceError::StepUnderflow`] when step halving bottoms out;
 /// - [`SpiceError::BadOptions`] for a non-positive horizon.
 pub fn run(circuit: &mut Circuit, opts: &TranOptions, sim: &SimOptions) -> Result<TranResult> {
-    run_from(circuit, opts, sim, None)
+    run_in(circuit, opts, sim, None, &mut Workspace::new(0))
 }
 
-/// [`run`] with a Newton guess for the initial DC operating point
-/// (e.g. the previous `.STEP` batch point's operating point — same
-/// topology, nearby parameter values). A wrong-length guess is
-/// ignored; a bad guess only costs the usual homotopy fallbacks.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_from(
-    circuit: &mut Circuit,
-    opts: &TranOptions,
-    sim: &SimOptions,
-    op_guess: Option<&[f64]>,
-) -> Result<TranResult> {
-    let mut ws =
-        Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads);
-    run_in(circuit, opts, sim, op_guess, &mut ws)
-}
-
-/// [`run_from`] over a caller-owned [`Workspace`] (see
-/// [`dcop::solve_in`](super::dcop::solve_in) for the reuse contract).
-/// The DC operating point and every transient step share the
-/// workspace, so the sparse backend analyzes the Jacobian structure
-/// once for the whole run.
+/// [`run`] over a caller-owned [`Workspace`] (see
+/// [`dcop::solve_in`](super::dcop::solve_in) for the reuse contract),
+/// with a Newton guess for the initial DC operating point (e.g. the
+/// previous `.STEP` batch point's operating point — same topology,
+/// nearby parameter values; a wrong-length guess is ignored and a bad
+/// one only costs the usual homotopy fallbacks). The DC operating
+/// point and every transient step share the workspace, so the sparse
+/// backend analyzes the Jacobian structure once for the whole run.
 ///
 /// # Errors
 ///

@@ -95,24 +95,20 @@ impl HdlDevice {
     /// Re-binds the generics by re-elaborating the instance in place
     /// (elaborate-once batches): the fresh instance re-runs the
     /// `init` program, re-folds the tables, and starts from pristine
-    /// history — exactly the state a rebuilt deck would produce. The
-    /// selected evaluator carries over.
+    /// history — exactly the state a rebuilt deck would produce.
     ///
     /// # Errors
     ///
     /// Same failures as [`HdlDevice::new`] (unknown/missing generics,
     /// bad table axes, `init` assertions).
     pub fn set_generics(&mut self, generics: &[(&str, f64)]) -> Result<()> {
-        let mode = self.instance.eval_mode();
-        let mut instance = self
+        self.instance = self
             .model
             .instantiate(self.instance.name(), generics)
             .map_err(|e| SpiceError::Device {
                 device: self.instance.name().to_string(),
                 detail: e.to_string(),
             })?;
-        instance.set_eval_mode(mode);
-        self.instance = instance;
         self.last_reports.clear();
         Ok(())
     }

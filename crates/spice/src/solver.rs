@@ -9,7 +9,7 @@
 use crate::circuit::{Circuit, UnknownKind, UnknownLayout};
 use crate::device::{LoadCtx, LoadKind};
 use crate::error::{Result, SpiceError};
-use crate::system::{new_system_solver, FactorKind, FillOrdering, MatrixBackend, SystemMatrix};
+use crate::system::{FactorKind, FillOrdering, MatrixBackend, SolverPolicy, SystemMatrix};
 use mems_hdl::Nature;
 
 /// Global simulator options (tolerances, iteration budgets).
@@ -79,6 +79,16 @@ impl SimOptions {
             UnknownKind::Internal => self.abstol_internal,
         }
     }
+
+    /// The solver policy these options select.
+    pub fn solver_policy(&self) -> SolverPolicy {
+        SolverPolicy {
+            backend: self.matrix,
+            ordering: self.ordering,
+            factor: self.factor,
+            factor_threads: self.factor_threads,
+        }
+    }
 }
 
 /// Reusable assembly storage (avoids reallocating each iteration —
@@ -92,30 +102,14 @@ pub struct Workspace {
     pub resid: Vec<f64>,
     /// Row scales (sums of |terms| per row).
     pub row_scale: Vec<f64>,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
-    factor: FactorKind,
-    factor_threads: usize,
+    policy: SolverPolicy,
 }
 
 impl Workspace {
-    /// Allocates a workspace for `n` unknowns with automatic backend
-    /// selection.
+    /// Allocates a workspace for `n` unknowns under the default solver
+    /// policy.
     pub fn new(n: usize) -> Self {
-        Self::with_backend(n, MatrixBackend::Auto)
-    }
-
-    /// Allocates a workspace with an explicit backend policy and the
-    /// default fill-reducing ordering.
-    pub fn with_backend(n: usize, backend: MatrixBackend) -> Self {
-        Self::with_policy(n, backend, FillOrdering::default())
-    }
-
-    /// Allocates a workspace with explicit backend and sparse-ordering
-    /// policies (the [`SimOptions::matrix`]/[`SimOptions::ordering`]
-    /// pair).
-    pub fn with_policy(n: usize, backend: MatrixBackend, ordering: FillOrdering) -> Self {
-        Self::with_solver(n, backend, ordering, FactorKind::default(), 0)
+        Self::from_policy(n, SolverPolicy::default())
     }
 
     /// Allocates a workspace with the full solver policy: backend,
@@ -129,14 +123,23 @@ impl Workspace {
         factor: FactorKind,
         factor_threads: usize,
     ) -> Self {
+        Self::from_policy(
+            n,
+            SolverPolicy {
+                backend,
+                ordering,
+                factor,
+                factor_threads,
+            },
+        )
+    }
+
+    fn from_policy(n: usize, policy: SolverPolicy) -> Self {
         Workspace {
-            sys: new_system_solver(n, backend, ordering, factor, factor_threads),
+            sys: policy.build(n),
             resid: vec![0.0; n],
             row_scale: vec![0.0; n],
-            backend,
-            ordering,
-            factor,
-            factor_threads,
+            policy,
         }
     }
 
@@ -145,39 +148,17 @@ impl Workspace {
         self.sys.n()
     }
 
-    /// Re-targets the workspace to `n` unknowns under `backend` and
-    /// `ordering`, keeping all cached structure (sparsity pattern,
-    /// column ordering, symbolic factorization) when everything
-    /// already matches. This is the reuse hook for sweeps and
-    /// `.STEP`/`.MC` batches: same topology → same layout → the
-    /// expensive analysis happens once.
-    pub fn ensure(&mut self, n: usize, backend: MatrixBackend, ordering: FillOrdering) {
-        self.ensure_solver(n, backend, ordering, self.factor, self.factor_threads);
-    }
-
-    /// [`Workspace::ensure`] with the full solver policy — rebuilds only
-    /// when the resolved backend, ordering, or factorization policy
-    /// actually changes.
-    pub fn ensure_solver(
-        &mut self,
-        n: usize,
-        backend: MatrixBackend,
-        ordering: FillOrdering,
-        factor: FactorKind,
-        factor_threads: usize,
-    ) {
-        let same_backend = self.sys.n() == n && self.backend.resolve(n) == backend.resolve(n);
-        // Ordering and factorization policy only matter on the sparse
-        // path.
-        let dense = backend.resolve(n) == MatrixBackend::Dense;
-        let same_ordering = self.ordering == ordering || dense;
-        let same_factor = dense
-            || (self.factor.resolve(n) == factor.resolve(n)
-                && self.factor_threads == factor_threads);
-        if same_backend && same_ordering && same_factor {
-            return;
+    /// Re-targets the workspace to `n` unknowns under the solver policy
+    /// of `sim`, keeping all cached structure (sparsity pattern, column
+    /// ordering, symbolic factorization) when the current system still
+    /// fits (see [`SolverPolicy::fits`]). This is the reuse hook for
+    /// sweeps and `.STEP`/`.MC` batches: same topology → same layout →
+    /// the expensive analysis happens once.
+    pub fn ensure_solver(&mut self, n: usize, sim: &SimOptions) {
+        let want = sim.solver_policy();
+        if !self.policy.fits(self.sys.n(), n, &want) {
+            *self = Workspace::from_policy(n, want);
         }
-        *self = Workspace::with_solver(n, backend, ordering, factor, factor_threads);
     }
 }
 
@@ -257,6 +238,12 @@ pub fn newton(
                 detail: "non-finite Jacobian entry".into(),
             });
         }
+        if let Some(k) = ws.resid.iter().position(|f| !f.is_finite()) {
+            return Err(SpiceError::Device {
+                device: "<assembly>".into(),
+                detail: format!("non-finite residual in row {}", layout.labels[k]),
+            });
+        }
         ws.sys.factor().map_err(|e| {
             SpiceError::Singular(format!(
                 "{e} (unknowns: {})",
@@ -275,26 +262,21 @@ pub fn newton(
             }
         }
 
+        // Both criteria are written as `<= tol`, so a NaN update or
+        // residual never passes.
         let mut converged = true;
         for k in 0..n {
             let x_new = x[k] + delta[k];
             let tol = opts.reltol * x[k].abs().max(x_new.abs()) + opts.abstol(layout.kinds[k]);
-            if delta[k].abs() > tol {
-                converged = false;
-            }
+            converged &= delta[k].abs() <= tol;
             x[k] = x_new;
         }
         // Residual criterion on the *pre-update* residual: a row must
         // be small relative to the terms that built it.
-        if converged {
-            for k in 0..n {
-                let tol = opts.reltol * ws.row_scale[k] + opts.abstol(layout.kinds[k]);
-                if ws.resid[k].abs() > tol {
-                    converged = false;
-                    break;
-                }
-            }
-        }
+        converged = converged
+            && (0..n).all(|k| {
+                ws.resid[k].abs() <= opts.reltol * ws.row_scale[k] + opts.abstol(layout.kinds[k])
+            });
         if converged {
             return Ok(NewtonOutcome {
                 x,
@@ -310,11 +292,7 @@ pub fn newton(
 
 fn worst_rows(layout: &UnknownLayout, row_scale: &[f64]) -> String {
     let mut idx: Vec<usize> = (0..row_scale.len()).collect();
-    idx.sort_by(|&a, &b| {
-        row_scale[a]
-            .partial_cmp(&row_scale[b])
-            .expect("finite scales")
-    });
+    idx.sort_by(|&a, &b| row_scale[a].total_cmp(&row_scale[b]));
     idx.iter()
         .take(3)
         .map(|&i| layout.labels[i].as_str())
@@ -456,5 +434,63 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.x[1], 0.0);
+    }
+
+    /// `SIN(0 1 1e308)` evaluates `sin(inf · 0)` = NaN at `t = 0`.
+    fn nan_source_circuit(parallel_source: bool) -> Circuit {
+        let mut c = Circuit::new();
+        let a = c.enode("in").unwrap();
+        let g = c.ground();
+        let sin = Waveform::Sin {
+            offset: 0.0,
+            ampl: 1.0,
+            freq: 1e308,
+            delay: 0.0,
+            theta: 0.0,
+        };
+        c.add(VoltageSource::new("v1", a, g, sin)).unwrap();
+        if parallel_source {
+            c.add(VoltageSource::new("v2", a, g, Waveform::Dc(1.0)))
+                .unwrap();
+        } else {
+            c.add(Resistor::new("r1", a, g, 1e3)).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn nan_residual_fails_the_operating_point() {
+        for parallel_source in [false, true] {
+            let mut c = nan_source_circuit(parallel_source);
+            let err = crate::analysis::dcop::solve(&mut c, &SimOptions::default())
+                .expect_err("a NaN source must not converge");
+            assert!(
+                err.to_string()
+                    .contains("non-finite residual in row i(v1,0)"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_residual_fails_the_transient() {
+        let mut c = nan_source_circuit(false);
+        let opts = crate::analysis::transient::TranOptions::new(3e-3);
+        let err = crate::analysis::transient::run(&mut c, &opts, &SimOptions::default())
+            .expect_err("a NaN source must not produce a waveform");
+        assert!(err.to_string().contains("non-finite residual"), "{err}");
+    }
+
+    #[test]
+    fn worst_rows_orders_nan_scales_last() {
+        let mut c = Circuit::new();
+        for name in ["a", "b", "c"] {
+            c.enode(name).unwrap();
+        }
+        let layout = c.layout();
+        assert_eq!(
+            worst_rows(&layout, &[f64::NAN, 2.0, 1.0]),
+            "v(c), v(b), v(a)"
+        );
     }
 }

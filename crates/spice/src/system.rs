@@ -262,44 +262,52 @@ pub trait SystemMatrix<S: Scalar>: Send {
     }
 }
 
-/// Builds a system matrix of order `n` for the (resolved) backend,
-/// with the default [`FillOrdering`] on the sparse path.
-pub fn new_system<S: Scalar + Send + Sync + 'static>(
-    n: usize,
-    backend: MatrixBackend,
-) -> Box<dyn SystemMatrix<S>> {
-    new_system_with(n, backend, FillOrdering::default())
+/// The policy a system matrix is built under: the
+/// [`SimOptions`](crate::solver::SimOptions)
+/// `matrix`/`ordering`/`factor`/`factor_threads` tuple. The dense
+/// backend ignores all but `backend`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SolverPolicy {
+    /// Matrix backend.
+    pub backend: MatrixBackend,
+    /// Sparse fill-reducing ordering.
+    pub ordering: FillOrdering,
+    /// Sparse numeric factorization path.
+    pub factor: FactorKind,
+    /// Supernodal worker-thread request (0 = auto, see
+    /// `mems_numerics::par`).
+    pub factor_threads: usize,
 }
 
-/// [`new_system`] with an explicit sparse fill-reducing ordering
-/// (ignored by the dense backend).
-pub fn new_system_with<S: Scalar + Send + Sync + 'static>(
-    n: usize,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
-) -> Box<dyn SystemMatrix<S>> {
-    new_system_solver(n, backend, ordering, FactorKind::default(), 0)
-}
+impl SolverPolicy {
+    /// Builds a system matrix of order `n` for the resolved backend.
+    pub fn build<S: Scalar + Send + Sync + 'static>(&self, n: usize) -> Box<dyn SystemMatrix<S>> {
+        match self.backend.resolve(n) {
+            MatrixBackend::Sparse => Box::new(SparseSystem::with_solver(
+                n,
+                self.ordering,
+                self.factor,
+                self.factor_threads,
+            )),
+            _ => Box::new(DenseSystem::new(n)),
+        }
+    }
 
-/// [`new_system`] with the full sparse solver policy: fill ordering,
-/// numeric engine ([`FactorKind`]), and a worker-thread request for
-/// the supernodal path (0 = auto, see `mems_numerics::par`). The
-/// dense backend ignores all three.
-pub fn new_system_solver<S: Scalar + Send + Sync + 'static>(
-    n: usize,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
-    factor: FactorKind,
-    factor_threads: usize,
-) -> Box<dyn SystemMatrix<S>> {
-    match backend.resolve(n) {
-        MatrixBackend::Sparse => Box::new(SparseSystem::with_solver(
-            n,
-            ordering,
-            factor,
-            factor_threads,
-        )),
-        _ => Box::new(DenseSystem::new(n)),
+    /// Whether a system of order `built_n` built under this policy can
+    /// serve `n` unknowns under `want`, keeping its cached structure
+    /// (sparsity pattern, ordering, symbolic factorization). The order
+    /// and the resolved backend must match; the ordering and the
+    /// factorization path only matter on the sparse backend. Every
+    /// cached system (the real [`Workspace`](crate::solver::Workspace)
+    /// and the batch engine's complex `.AC` system) reuses by this rule.
+    pub fn fits(&self, built_n: usize, n: usize, want: &SolverPolicy) -> bool {
+        let backend = want.backend.resolve(n);
+        built_n == n
+            && self.backend.resolve(n) == backend
+            && (backend == MatrixBackend::Dense
+                || (self.ordering == want.ordering
+                    && self.factor.resolve(n) == want.factor.resolve(n)
+                    && self.factor_threads == want.factor_threads))
     }
 }
 
@@ -440,12 +448,7 @@ impl<S: Scalar> SparseSystem<S> {
     /// Empty sparse system of order `n` (pattern grows with stamps)
     /// with the default fill-reducing ordering.
     pub fn new(n: usize) -> Self {
-        Self::with_ordering(n, FillOrdering::default())
-    }
-
-    /// [`new`](Self::new) with an explicit ordering policy.
-    pub fn with_ordering(n: usize, ordering: FillOrdering) -> Self {
-        Self::with_solver(n, ordering, FactorKind::default(), 0)
+        Self::with_solver(n, FillOrdering::default(), FactorKind::default(), 0)
     }
 
     /// [`new`](Self::new) with the full solver policy: ordering,
@@ -921,8 +924,10 @@ mod tests {
             }
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut amd = SparseSystem::<f64>::with_ordering(n, FillOrdering::Amd);
-        let mut nat = SparseSystem::<f64>::with_ordering(n, FillOrdering::Natural);
+        let mut amd =
+            SparseSystem::<f64>::with_solver(n, FillOrdering::Amd, FactorKind::default(), 0);
+        let mut nat =
+            SparseSystem::<f64>::with_solver(n, FillOrdering::Natural, FactorKind::default(), 0);
         stamp_all(&mut amd, &entries);
         stamp_all(&mut nat, &entries);
         amd.factor().unwrap();
@@ -946,7 +951,8 @@ mod tests {
 
     #[test]
     fn ordered_dead_pivot_falls_back_to_full_refactor() {
-        let mut sys = SparseSystem::<f64>::with_ordering(3, FillOrdering::Amd);
+        let mut sys =
+            SparseSystem::<f64>::with_solver(3, FillOrdering::Amd, FactorKind::default(), 0);
         let entries = [
             (0usize, 0usize, 2.0),
             (0, 1, 1.0),
@@ -1088,9 +1094,9 @@ mod tests {
         );
         assert_eq!(MatrixBackend::Dense.resolve(1000), MatrixBackend::Dense);
         assert_eq!(MatrixBackend::Sparse.resolve(2), MatrixBackend::Sparse);
-        let sys = new_system::<f64>(100, MatrixBackend::Auto);
+        let sys = SolverPolicy::default().build::<f64>(100);
         assert_eq!(sys.backend(), MatrixBackend::Sparse);
-        let sys = new_system::<f64>(10, MatrixBackend::Auto);
+        let sys = SolverPolicy::default().build::<f64>(10);
         assert_eq!(sys.backend(), MatrixBackend::Dense);
     }
 }

@@ -28,6 +28,7 @@ COMMANDS:
     run      Run the deck's analysis cards (.OP/.DC/.AC/.TRAN)
     plot     Run the deck and render terminal ASCII plots of the traces
     sweep    Run the deck's .STEP/.MC batch across worker threads
+             (exits 1 when any point fails; the report lists every point)
     serve    Run the HTTP/1.1 + JSON simulation service (artifact cache,
              fair-share scheduler; Ctrl-C drains gracefully)
 
@@ -53,8 +54,6 @@ OPTIONS:
                      (default 0 = auto; `MEMS_FACTOR_THREADS` wins)
     --log-x          Plot `.AC` magnitude over log10(frequency)
     --db             Plot `.AC` magnitude in dB (20·log10)
-    --reelaborate    Rebuild the circuit per batch point instead of the
-                     default elaborate-once in-place parameter patching
 
 SERVE OPTIONS:
     --host ADDR      Bind address (default 127.0.0.1)
@@ -91,7 +90,6 @@ struct Args {
     rows: usize,
     cols: usize,
     threads: usize,
-    reelaborate: bool,
     order: Option<String>,
     factor: Option<String>,
     factor_threads: Option<usize>,
@@ -121,7 +119,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut rows = 16usize;
     let mut cols = 72usize;
     let mut threads = 0usize;
-    let mut reelaborate = false;
     let mut order = None;
     let mut factor = None;
     let mut factor_threads = None;
@@ -148,7 +145,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "-V" | "--version" => return Err(format!("mems {}", env!("CARGO_PKG_VERSION"))),
             "--csv" => csv = Some(optional_value(&mut it)),
             "--json" => json = Some(optional_value(&mut it)),
-            "--reelaborate" => reelaborate = true,
             "--log-x" => log_x = true,
             "--db" => db = true,
             "--order" => {
@@ -282,7 +278,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         rows,
         cols,
         threads,
-        reelaborate,
         order,
         factor,
         factor_threads,
@@ -480,7 +475,6 @@ fn cmd_sweep(
     csv: Option<&str>,
     json: Option<&str>,
     threads: usize,
-    reelaborate: bool,
 ) -> Result<(), String> {
     // Ctrl-C stops the batch at the next point boundary; the partial
     // batch still reports (unvisited points carry cancelled errors).
@@ -496,7 +490,6 @@ fn cmd_sweep(
         deck,
         &BatchOptions {
             threads,
-            reelaborate,
             cancel: Some(cancel),
         },
     )
@@ -509,12 +502,23 @@ fn cmd_sweep(
         );
     }
     match (json, csv) {
-        (Some(target), _) => emit(target, &report::batch_json(&result)),
-        (None, Some(target)) => emit(target, &report::batch_csv(&result)),
-        (None, None) => {
-            print!("{}", report::batch_report(&result));
-            Ok(())
-        }
+        (Some(target), _) => emit(target, &report::batch_json(&result))?,
+        (None, Some(target)) => emit(target, &report::batch_csv(&result))?,
+        (None, None) => print!("{}", report::batch_report(&result)),
+    }
+    // The report covers every point; a failed point still fails the
+    // command, so scripts see it in the exit status.
+    let mut failed = result
+        .points
+        .iter()
+        .filter_map(|p| Some((p.point.index, p.outcome.as_ref().err()?)));
+    match failed.next() {
+        None => Ok(()),
+        Some((index, err)) => Err(format!(
+            "sweep: {} of {} points failed; first, point {index}: {err}",
+            1 + failed.count(),
+            result.points.len()
+        )),
     }
 }
 
@@ -635,7 +639,6 @@ fn main() -> ExitCode {
             args.csv.as_deref(),
             args.json.as_deref(),
             args.threads,
-            args.reelaborate,
         ),
         _ => unreachable!("validated in parse_args"),
     };

@@ -18,8 +18,10 @@ use mems::hdl::bytecode::{run_pass_bytecode, BytecodeModel, RegBank};
 use mems::hdl::compile::{
     BranchInfo, Builtin, CExpr, CStmt, CompiledModel, GenericInfo, ObjectInfo, PinInfo,
 };
-use mems::hdl::eval::{run_pass, Analysis, DualComplex, DualReal, EvalEnv, InstanceState};
-use mems::hdl::model::{EvalMode, HdlModel};
+use mems::hdl::eval::{
+    run_pass, AdScalar, Analysis, DualComplex, DualReal, EvalEnv, InstanceState,
+};
+use mems::hdl::model::HdlModel;
 use mems::hdl::Nature;
 use mems::numerics::ode::IntegrationMethod;
 use mems::numerics::pwl::Pwl1;
@@ -713,6 +715,59 @@ proptest! {
 // Deterministic fixtures
 // ---------------------------------------------------------------
 
+/// The tree-walk twin of an [`HdlModel`] instance, assembled from the
+/// model's public parts the way `HdlModel::instantiate` assembles the
+/// bytecode one, but with the reference `init` interpreter, table
+/// folder and evaluator.
+struct TreeInstance {
+    model: HdlModel,
+    generics: Vec<f64>,
+    init_values: Vec<Option<f64>>,
+    tables: Vec<Pwl1>,
+    state: InstanceState,
+}
+
+impl TreeInstance {
+    fn new(model: &HdlModel, generics: &[(&str, f64)]) -> Self {
+        let bound = model
+            .instantiate("tree", generics)
+            .unwrap()
+            .generics()
+            .to_vec();
+        let init_values = model.init_values_with(&bound, false).unwrap();
+        let tables = model.fold_tables_with(&bound, &init_values, false).unwrap();
+        let mut state = InstanceState::for_model(model.compiled());
+        for (i, obj) in model.compiled().objects.iter().enumerate() {
+            if obj.kind == ObjectKind::State {
+                state.committed[i] = init_values[i].unwrap_or(0.0);
+            }
+        }
+        TreeInstance {
+            model: model.clone(),
+            generics: bound,
+            init_values,
+            tables,
+            state,
+        }
+    }
+
+    fn eval<S: AdScalar>(
+        &mut self,
+        analysis: Analysis,
+        env: &mut dyn EvalEnv<S>,
+    ) -> mems::hdl::Result<()> {
+        run_pass(
+            self.model.compiled(),
+            analysis,
+            &self.generics,
+            &self.init_values,
+            &self.tables,
+            &mut self.state,
+            env,
+        )
+    }
+}
+
 /// The paper's Listing 1 through the full `HdlModel` front end: one
 /// instance per evaluator, driven through a DC → transient → AC
 /// sequence; contributions must match exactly.
@@ -741,40 +796,30 @@ END ARCHITECTURE a;
 "#;
     let model = HdlModel::compile(LISTING1, "eletran", None).unwrap();
     let generics = [("a", 1.0e-4), ("d", 0.15e-3), ("er", 1.0)];
-    let mut tree = model.instantiate("x1", &generics).unwrap();
-    tree.set_eval_mode(EvalMode::TreeWalk);
+    let mut tree = TreeInstance::new(&model, &generics);
     let mut byte = model.instantiate("x2", &generics).unwrap();
-    assert_eq!(byte.eval_mode(), EvalMode::Bytecode);
 
-    let run = |inst: &mut mems::hdl::Instance, volts: f64, vel: f64, step: Option<f64>| {
-        let mut env = CaptureEnv::<DualReal>::new(2, &[volts, vel], &[]);
-        match step {
-            None => inst.eval_dc(&mut env).unwrap(),
-            Some(h) => inst
-                .eval_transient(h, h, IntegrationMethod::BackwardEuler, &mut env)
-                .unwrap(),
-        }
-        env.events
-    };
+    let env = |volts: f64, vel: f64| CaptureEnv::<DualReal>::new(2, &[volts, vel], &[]);
 
     // DC at 10 V.
-    let (a, b) = (
-        run(&mut tree, 10.0, 0.0, None),
-        run(&mut byte, 10.0, 0.0, None),
-    );
-    events_match(&a, &b).unwrap();
-    tree.commit_dc();
+    let (mut env_a, mut env_b) = (env(10.0, 0.0), env(10.0, 0.0));
+    tree.eval(Analysis::Dc, &mut env_a).unwrap();
+    byte.eval_dc(&mut env_b).unwrap();
+    events_match(&env_a.events, &env_b.events).unwrap();
+    tree.state.commit_dc();
     byte.commit_dc();
 
     // Three transient steps with a closing gap.
     for k in 1..=3 {
         let h = 1e-5;
-        let (a, b) = (
-            run(&mut tree, 10.0 + k as f64, 1e-6, Some(h)),
-            run(&mut byte, 10.0 + k as f64, 1e-6, Some(h)),
-        );
-        events_match(&a, &b).unwrap_or_else(|e| panic!("step {k}: {e}"));
-        tree.commit_transient(h);
+        let method = IntegrationMethod::BackwardEuler;
+        let volts = 10.0 + k as f64;
+        let (mut env_a, mut env_b) = (env(volts, 1e-6), env(volts, 1e-6));
+        tree.eval(Analysis::Transient { t: h, h, method }, &mut env_a)
+            .unwrap();
+        byte.eval_transient(h, h, method, &mut env_b).unwrap();
+        events_match(&env_a.events, &env_b.events).unwrap_or_else(|e| panic!("step {k}: {e}"));
+        tree.state.commit_transient(h);
         byte.commit_transient(h);
     }
 
@@ -782,7 +827,7 @@ END ARCHITECTURE a;
     let omega = 2.0 * std::f64::consts::PI * 1e3;
     let mut env_a = CaptureEnv::<DualComplex>::new(2, &[10.0, 0.0], &[]);
     let mut env_b = CaptureEnv::<DualComplex>::new(2, &[10.0, 0.0], &[]);
-    tree.eval_ac(omega, &mut env_a).unwrap();
+    tree.eval(Analysis::Ac { omega }, &mut env_a).unwrap();
     byte.eval_ac(omega, &mut env_b).unwrap();
     events_match(&env_a.events, &env_b.events).unwrap();
     // Sanity anchor: the electrical branch admittance is jωC (the
@@ -825,14 +870,13 @@ BEGIN
 END ARCHITECTURE a;
 "#;
     let model = HdlModel::compile(SRC, "shaper", None).unwrap();
-    let mut tree = model.instantiate("t", &[]).unwrap();
-    tree.set_eval_mode(EvalMode::TreeWalk);
+    let mut tree = TreeInstance::new(&model, &[]);
     let mut byte = model.instantiate("b", &[]).unwrap();
 
     for v in [-1.5, -0.6, -0.1, 0.0, 0.3, 0.9, 1.4, 2.5, 7.0] {
         let mut env_t = CaptureEnv::<DualReal>::new(1, &[v], &[]);
         let mut env_b = CaptureEnv::<DualReal>::new(1, &[v], &[]);
-        tree.eval_dc(&mut env_t).unwrap();
+        tree.eval(Analysis::Dc, &mut env_t).unwrap();
         byte.eval_dc(&mut env_b).unwrap();
         events_match(&env_t.events, &env_b.events).unwrap_or_else(|e| panic!("v = {v}: {e}"));
     }

@@ -14,6 +14,8 @@ use mems::spice::devices::{Damper, HdlDevice, Mass, Spring, VoltageSource};
 use mems::spice::solver::SimOptions;
 use mems::spice::wave::Waveform;
 
+mod common;
+
 fn deck_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("examples/decks")
@@ -394,16 +396,16 @@ fn elaborate_once_matches_reelaboration_on_every_deck() {
         let elab = Elaborator::new(&deck).unwrap();
         let nominal = Default::default();
 
-        // Baseline: the pre-elaborate-once behavior.
-        let baseline = run_elaborated_ctx(&elab, &nominal, &mut RunCtx::without_reuse()).unwrap();
+        // Baseline: every circuit rebuilt from the parse tree.
+        let baseline = common::run_rebuilt(&elab, &nominal, &mut None, None).unwrap();
 
         // One reusing context, run twice: the first run builds and
         // caches, the second patches every circuit in place.
         let mut ctx = RunCtx::default();
         let first = run_elaborated_ctx(&elab, &nominal, &mut ctx).unwrap();
         let patched = run_elaborated_ctx(&elab, &nominal, &mut ctx).unwrap();
-        assert_runs_bit_identical(&baseline, &first, &format!("{name}: build vs no-reuse"));
-        assert_runs_bit_identical(&baseline, &patched, &format!("{name}: patch vs no-reuse"));
+        assert_runs_bit_identical(&baseline, &first, &format!("{name}: build vs rebuild"));
+        assert_runs_bit_identical(&baseline, &patched, &format!("{name}: patch vs rebuild"));
 
         // Perturb the deck's first parameter: the patched circuit
         // must match a freshly built one under the same override.
@@ -413,7 +415,7 @@ fn elaborate_once_matches_reelaboration_on_every_deck() {
             param.name.clone(),
             param.value.eval(&Default::default()).unwrap() * 1.05,
         );
-        let fresh = run_elaborated_ctx(&elab, &over, &mut RunCtx::without_reuse()).unwrap();
+        let fresh = common::run_rebuilt(&elab, &over, &mut None, None).unwrap();
         let repatch = run_elaborated_ctx(&elab, &over, &mut ctx).unwrap();
         assert_runs_bit_identical(&fresh, &repatch, &format!("{name}: perturbed"));
     }
@@ -421,36 +423,25 @@ fn elaborate_once_matches_reelaboration_on_every_deck() {
 }
 
 /// Acceptance: the `.STEP` batch of `resonator_step.cir` is
-/// bit-identical between the elaborate-once default and forced
-/// re-elaboration, and stays thread-count invariant with patching on.
+/// bit-identical between the elaborate-once engine and the
+/// rebuild-per-point reference (at 1 and 2 threads), and stays
+/// thread-count invariant with patching on.
 #[test]
 fn resonator_step_batch_patching_is_bit_identical_and_thread_invariant() {
     let deck = load("resonator_step.cir");
     let patched_1 = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
-    let rebuilt_1 = run_batch(
-        &deck,
-        &BatchOptions {
-            threads: 1,
-            reelaborate: true,
-            cancel: None,
-        },
-    )
-    .unwrap();
-    let patched_4 = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
-
     assert!(patched_1.ok_count() >= 5, "all points solve");
-    for other in [&rebuilt_1, &patched_4] {
-        assert_eq!(patched_1.points.len(), other.points.len());
-        for (a, b) in patched_1.points.iter().zip(&other.points) {
-            assert_eq!(a.point, b.point);
-            let (ma, mb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-            assert_eq!(ma.len(), mb.len());
-            for (x, y) in ma.iter().zip(mb) {
-                assert_eq!(x.name, y.name);
-                assert_eq!(x.value.to_bits(), y.value.to_bits(), "{}", x.name);
-            }
-        }
+    assert_eq!(patched_1.ok_count(), patched_1.points.len());
+    for threads in [1, 2] {
+        let rebuilt = common::run_batch_rebuilt(&deck, threads);
+        common::assert_batches_bit_identical(
+            &patched_1,
+            &rebuilt,
+            &format!("rebuilt at {threads} threads"),
+        );
     }
+    let patched_4 = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
+    common::assert_batches_bit_identical(&patched_1, &patched_4, "patched at 4 threads");
 }
 
 /// Patch errors surface exactly like build errors: a swept value
@@ -461,15 +452,7 @@ fn patch_validation_matches_build_validation() {
     let src = "f\n.param rbot=1k\nVs in 0 1\nR1 in out 1k\nR2 out 0 {rbot}\n.op\n.step param rbot LIST 1k 0 2k\n";
     let deck = Deck::parse(src).unwrap();
     let patched = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
-    let rebuilt = run_batch(
-        &deck,
-        &BatchOptions {
-            threads: 1,
-            reelaborate: true,
-            cancel: None,
-        },
-    )
-    .unwrap();
+    let rebuilt = common::run_batch_rebuilt(&deck, 1);
     assert_eq!(patched.ok_count(), 2);
     assert_eq!(rebuilt.ok_count(), 2);
     let (pe, re_) = (
@@ -568,7 +551,8 @@ fn nested_subckt_deck_flattens_bit_identically_to_hand_flat() {
 
 /// Acceptance: the shipped two-level bridge deck's hierarchical
 /// `.STEP` (over `x1.k`) is bit-identical between the elaborate-once
-/// patch path and forced re-elaboration, and thread-count invariant.
+/// patch path and the rebuild-per-point reference (at 1 and 2
+/// threads), and thread-count invariant.
 #[test]
 fn bridge_deck_hierarchical_step_patch_equals_rebuild_across_threads() {
     let deck = load("bridge_cells.cir");
@@ -577,28 +561,17 @@ fn bridge_deck_hierarchical_step_patch_equals_rebuild_across_threads() {
     assert_eq!(points[0].overrides, vec![("x1.k".to_string(), 150.0)]);
 
     let patched_1 = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
-    let rebuilt_1 = run_batch(
-        &deck,
-        &BatchOptions {
-            threads: 1,
-            reelaborate: true,
-            cancel: None,
-        },
-    )
-    .unwrap();
-    let patched_4 = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
     assert_eq!(patched_1.ok_count(), 3, "all hierarchical points solve");
-    for other in [&rebuilt_1, &patched_4] {
-        for (a, b) in patched_1.points.iter().zip(&other.points) {
-            assert_eq!(a.point, b.point);
-            let (ma, mb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-            assert_eq!(ma.len(), mb.len());
-            for (x, y) in ma.iter().zip(mb) {
-                assert_eq!(x.name, y.name);
-                assert_eq!(x.value.to_bits(), y.value.to_bits(), "{}", x.name);
-            }
-        }
+    for threads in [1, 2] {
+        let rebuilt = common::run_batch_rebuilt(&deck, threads);
+        common::assert_batches_bit_identical(
+            &patched_1,
+            &rebuilt,
+            &format!("rebuilt at {threads} threads"),
+        );
     }
+    let patched_4 = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
+    common::assert_batches_bit_identical(&patched_1, &patched_4, "patched at 4 threads");
     // The sweep only moves instance X1: its settled spring force
     // stays the electrostatic drive force (the suspension always
     // balances it), while X2's metrics are untouched across points.

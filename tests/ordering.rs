@@ -7,7 +7,7 @@
 
 use mems::numerics::ordering::{amd_order, is_permutation, nd_order, FillOrdering};
 use mems::numerics::sparse_lu::{CscMatrix, SparseLu};
-use mems::spice::system::{SparseSystem, SystemMatrix};
+use mems::spice::system::{FactorKind, SparseSystem, SystemMatrix};
 use proptest::prelude::*;
 
 /// Deterministic pattern + values from a seed: `n`-node matrix with
@@ -161,8 +161,8 @@ proptest! {
         n in 5usize..40,
     ) {
         let t = random_matrix(seed as u64 ^ 0x0d15_5ec7, n, 0.15, false);
-        let mut nd_sys = SparseSystem::<f64>::with_ordering(n, FillOrdering::Nd);
-        let mut nat_sys = SparseSystem::<f64>::with_ordering(n, FillOrdering::Natural);
+        let mut nd_sys = SparseSystem::<f64>::with_solver(n, FillOrdering::Nd, FactorKind::default(), 0);
+        let mut nat_sys = SparseSystem::<f64>::with_solver(n, FillOrdering::Natural, FactorKind::default(), 0);
         for &(i, j, v) in &t {
             nd_sys.add(i, j, v);
             nat_sys.add(i, j, v);
@@ -207,8 +207,8 @@ proptest! {
     ) {
         let t = random_matrix(seed as u64 ^ 0x5eed, n, 0.2, false);
         let kill = kill % n;
-        let mut amd_sys = SparseSystem::<f64>::with_ordering(n, FillOrdering::Amd);
-        let mut nat_sys = SparseSystem::<f64>::with_ordering(n, FillOrdering::Natural);
+        let mut amd_sys = SparseSystem::<f64>::with_solver(n, FillOrdering::Amd, FactorKind::default(), 0);
+        let mut nat_sys = SparseSystem::<f64>::with_solver(n, FillOrdering::Natural, FactorKind::default(), 0);
         for &(i, j, v) in &t {
             amd_sys.add(i, j, v);
             nat_sys.add(i, j, v);
