@@ -6,8 +6,9 @@
 //!   line varies), so the server parses, elaborates, and runs the
 //!   symbolic analysis from scratch;
 //! - **warm**: every iteration resubmits the same deck, so the
-//!   fingerprint cache supplies the parsed deck, the expanded point
-//!   list, and pooled contexts whose circuits are patched in place.
+//!   source-keyed artifact cache supplies the parsed deck, the
+//!   expanded point list, and pooled contexts whose circuits are
+//!   patched in place.
 //!
 //! The tracked number keeps the cache honest: BENCH_*.json records
 //! the cold/warm ratio instead of quoting it in prose.

@@ -359,6 +359,16 @@ impl Expr {
         }
     }
 
+    /// Node count of the longest root-to-leaf path.
+    pub(crate) fn height(&self) -> usize {
+        1 + match self {
+            Expr::Num(..) | Expr::Bool(..) | Expr::Ident(..) | Expr::Branch(_) => 0,
+            Expr::Call { args, .. } => args.iter().map(Expr::height).max().unwrap_or(0),
+            Expr::Unary { expr, .. } => expr.height(),
+            Expr::Binary { lhs, rhs, .. } => lhs.height().max(rhs.height()),
+        }
+    }
+
     /// Convenience constructor: numeric literal without position.
     pub fn num(v: f64) -> Expr {
         Expr::Num(v, Span::default())

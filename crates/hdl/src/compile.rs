@@ -279,41 +279,38 @@ impl CompiledModel {
     }
 }
 
-/// Folds a constant expression (generics allowed) to a number.
+/// Folds an expression to a plain number: literals, generics bound to
+/// `generics`, and objects already holding a value in `objects`, under
+/// pure operators and builtins. Indices past either slice are errors,
+/// so `fold(e, &[], &[])` folds literal-only subtrees.
 ///
 /// # Errors
 ///
-/// Returns [`HdlError::Elab`] when the expression references run-time
-/// quantities (branches, objects, time, `ddt`/`integ`/`table1d`).
-pub fn fold_const(expr: &CExpr, generics: &[f64]) -> Result<f64> {
+/// [`HdlError::Elab`] when an object has no value yet, and for
+/// run-time quantities (branches, time, `ddt`/`integ`/`table1d`).
+pub fn fold(expr: &CExpr, generics: &[f64], objects: &[Option<f64>]) -> Result<f64> {
+    let not_constant = || HdlError::Elab(format!("not a constant expression: {expr:?}"));
     Ok(match expr {
         CExpr::Const(v) => *v,
-        CExpr::Generic(i) => generics[*i],
-        CExpr::Unary(UnOp::Neg, e) => -fold_const(e, generics)?,
-        CExpr::Unary(UnOp::Not, e) => {
-            if fold_const(e, generics)? != 0.0 {
-                0.0
-            } else {
-                1.0
-            }
-        }
-        CExpr::Binary(op, a, b) => {
-            let x = fold_const(a, generics)?;
-            let y = fold_const(b, generics)?;
-            fold_binop(*op, x, y)
-        }
+        CExpr::Generic(i) => *generics.get(*i).ok_or_else(not_constant)?,
+        CExpr::Object(i) => objects.get(*i).copied().flatten().ok_or_else(|| {
+            HdlError::Elab("initializer references an object with no value yet".into())
+        })?,
+        CExpr::Unary(UnOp::Neg, e) => -fold(e, generics, objects)?,
+        CExpr::Unary(UnOp::Not, e) => f64::from(fold(e, generics, objects)? == 0.0),
+        CExpr::Binary(op, a, b) => fold_binop(
+            *op,
+            fold(a, generics, objects)?,
+            fold(b, generics, objects)?,
+        ),
         CExpr::Call(b, args) => {
             let vals: Vec<f64> = args
                 .iter()
-                .map(|a| fold_const(a, generics))
+                .map(|a| fold(a, generics, objects))
                 .collect::<Result<_>>()?;
             fold_builtin(*b, &vals)
         }
-        other => {
-            return Err(HdlError::Elab(format!(
-                "expression is not a compile-time constant: {other:?}"
-            )))
-        }
+        _ => return Err(not_constant()),
     })
 }
 
@@ -344,7 +341,7 @@ pub fn fold_binop(op: BinOp, x: f64, y: f64) -> f64 {
 /// NaN operands (NaN comparisons are false, so the *second* operand
 /// wins for `min`/`max` and a NaN input passes through `limit`) and
 /// never panics on an inverted `limit` window. The bytecode
-/// compiler's constant folder relies on this equality.
+/// compiler's constant folding relies on this equality.
 pub fn fold_builtin(b: Builtin, a: &[f64]) -> f64 {
     match b {
         Builtin::Abs => a[0].abs(),
@@ -414,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_consts_with_generics() {
+    fn fold_binds_generics() {
         // 2·g0 + sqrt(g1)
         let e = CExpr::Binary(
             BinOp::Add,
@@ -425,14 +422,36 @@ mod tests {
             )),
             Box::new(CExpr::Call(Builtin::Sqrt, vec![CExpr::Generic(1)])),
         );
-        assert_eq!(fold_const(&e, &[3.0, 16.0]).unwrap(), 10.0);
+        assert_eq!(fold(&e, &[3.0, 16.0], &[]).unwrap(), 10.0);
     }
 
     #[test]
     fn fold_rejects_runtime_quantities() {
-        assert!(fold_const(&CExpr::Across(0), &[]).is_err());
-        assert!(fold_const(&CExpr::Time, &[]).is_err());
-        assert!(fold_const(&CExpr::Object(0), &[]).is_err());
+        let err = fold(&CExpr::Across(0), &[], &[]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "elaboration error: not a constant expression: Across(0)"
+        );
+        assert!(fold(&CExpr::Time, &[], &[]).is_err());
+        // Out-of-range slots are errors, never panics.
+        assert!(fold(&CExpr::Generic(0), &[], &[]).is_err());
+        assert!(fold(&CExpr::Object(0), &[], &[]).is_err());
+    }
+
+    #[test]
+    fn fold_reads_objects_that_hold_a_value() {
+        let e = CExpr::Binary(
+            BinOp::Mul,
+            Box::new(CExpr::Object(0)),
+            Box::new(CExpr::Generic(0)),
+        );
+        assert_eq!(fold(&e, &[3.0], &[Some(2.0)]).unwrap(), 6.0);
+        let err = fold(&e, &[3.0], &[None]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("initializer references an object with no value yet"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -512,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_const_propagates_nan_through_trees() {
+    fn fold_propagates_nan_through_trees() {
         // sqrt(g0 − 2) with g0 = 1 → NaN, and NaN flows through the
         // enclosing arithmetic instead of erroring.
         let e = CExpr::Binary(
@@ -527,7 +546,7 @@ mod tests {
             )),
             Box::new(CExpr::Const(1.0)),
         );
-        assert!(fold_const(&e, &[1.0]).unwrap().is_nan());
-        assert_eq!(fold_const(&e, &[6.0]).unwrap(), 3.0);
+        assert!(fold(&e, &[1.0], &[]).unwrap().is_nan());
+        assert_eq!(fold(&e, &[6.0], &[]).unwrap(), 3.0);
     }
 }

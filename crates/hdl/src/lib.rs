@@ -47,12 +47,14 @@
 //! - [`eval`] — dual-number interpreter: real gradients for DC and
 //!   transient Newton iterations, complex gradients for exact AC
 //!   small-signal linearization (`ddt → jω`, `integ → 1/(jω)`);
-//! - [`bytecode`] — the same semantics compiled to a flat
-//!   stack-machine tape executed over reusable register banks (the
-//!   default evaluator: no per-node gradient allocation on the
-//!   Newton hot path);
-//! - [`model`] — elaboration (`init` blocks, generic binding, table
-//!   folding) and the [`model::Instance`] API the simulator hosts;
+//! - [`bytecode`] — the DC, AC and transient programs compiled to
+//!   flat stack-machine tapes executed over reusable register banks
+//!   (the evaluator every instance runs: no per-node gradient
+//!   allocation on the Newton hot path);
+//! - [`model`] — elaboration (generic binding, then the `init`
+//!   program and `table1d` breakpoints, both through the one
+//!   plain-number folder [`compile::fold`]) and the
+//!   [`model::Instance`] API the simulator hosts;
 //! - [`symbolic`] — expression differentiation for the energy
 //!   methodology;
 //! - [`print`] — canonical pretty-printing (model generation).

@@ -25,8 +25,8 @@
 //! ```
 
 use crate::ast::ObjectKind;
-use crate::bytecode::{run_init_tape, run_pass_bytecode, run_table_fold, BytecodeModel, RegBank};
-use crate::compile::{fold_binop, fold_builtin, CExpr, CStmt, CompiledModel};
+use crate::bytecode::{run_pass_bytecode, BytecodeModel, RegBank};
+use crate::compile::{fold, CStmt, CompiledModel};
 use crate::error::{HdlError, Result};
 use crate::eval::{Analysis, DualComplex, DualReal, EvalEnv, InstanceState};
 use crate::parser::parse;
@@ -89,8 +89,8 @@ impl HdlModel {
     /// failures in the `init` program.
     pub fn instantiate(&self, name: &str, generics: &[(&str, f64)]) -> Result<Instance> {
         let bound = self.bind_generics(generics)?;
-        let init_values = self.init_values_with(&bound, true)?;
-        let tables = self.fold_tables_with(&bound, &init_values, true)?;
+        let init_values = self.init_values(&bound)?;
+        let tables = self.fold_tables(&bound, &init_values)?;
 
         // Seed committed state values from their initializers.
         let mut state = InstanceState::for_model(&self.compiled);
@@ -146,21 +146,17 @@ impl HdlModel {
 
     /// Computes the per-object init-value vector for bound generics:
     /// declaration initializers folded in order, then the `init`
-    /// program — through the compiled init tape when `use_bytecode`
-    /// (and the program compiled; the default in
-    /// [`HdlModel::instantiate`]), otherwise through the reference
-    /// tree interpreter. Public so the differential test harness can
-    /// compare both paths value for value and error for error.
+    /// program.
     ///
     /// # Errors
     ///
     /// Initializer folding failures, unassigned-object reads, and
-    /// failed `init` assertions — identical between both evaluators.
-    pub fn init_values_with(&self, bound: &[f64], use_bytecode: bool) -> Result<Vec<Option<f64>>> {
+    /// failed `init` assertions.
+    fn init_values(&self, bound: &[f64]) -> Result<Vec<Option<f64>>> {
         let mut init_values: Vec<Option<f64>> = vec![None; self.compiled.objects.len()];
         for (i, obj) in self.compiled.objects.iter().enumerate() {
             if let Some(init) = &obj.init {
-                let v = fold_with_objects(init, bound, &init_values).map_err(|e| {
+                let v = fold(init, bound, &init_values).map_err(|e| {
                     HdlError::Elab(format!(
                         "initializer of `{}` in `{}`: {e}",
                         obj.name, self.compiled.name
@@ -169,56 +165,31 @@ impl HdlModel {
                 init_values[i] = Some(v);
             }
         }
-        match &self.bytecode.init {
-            Some(tape) if use_bytecode => {
-                run_init_tape(&self.compiled, tape, bound, &mut init_values)?;
-            }
-            _ => run_init_program(
-                &self.compiled.init_program,
-                bound,
-                &mut init_values,
-                &self.compiled,
-            )?,
-        }
+        run_init_program(
+            &self.compiled.init_program,
+            bound,
+            &mut init_values,
+            &self.compiled,
+        )?;
         Ok(init_values)
     }
 
-    /// Elaborates the model's `table1d` breakpoint tables for bound
-    /// generics — through the compiled fold tape when `use_bytecode`
-    /// (and every breakpoint compiled; the default in
-    /// [`HdlModel::instantiate`]), otherwise through the reference
-    /// tree folder. Public so the differential harness can compare
-    /// both paths breakpoint for breakpoint and error for error.
+    /// Folds the model's `table1d` breakpoints for bound generics and
+    /// init values.
     ///
     /// # Errors
     ///
-    /// Unassigned-object reads, non-constant breakpoint expressions
-    /// (tree path only — such models never compile a fold tape), and
-    /// non-increasing axes — identical messages on both paths.
-    pub fn fold_tables_with(
-        &self,
-        bound: &[f64],
-        init_values: &[Option<f64>],
-        use_bytecode: bool,
-    ) -> Result<Vec<Pwl1>> {
-        let pairs: Vec<(Vec<f64>, Vec<f64>)> = match &self.bytecode.table_fold {
-            Some(fold) if use_bytecode => run_table_fold(fold, bound, init_values)?,
-            _ => {
-                let mut out = Vec::with_capacity(self.compiled.tables.len());
-                for spec in &self.compiled.tables {
-                    let mut xs = Vec::with_capacity(spec.breakpoints.len());
-                    let mut ys = Vec::with_capacity(spec.breakpoints.len());
-                    for (bx, by) in &spec.breakpoints {
-                        xs.push(fold_with_objects(bx, bound, init_values)?);
-                        ys.push(fold_with_objects(by, bound, init_values)?);
-                    }
-                    out.push((xs, ys));
-                }
-                out
+    /// Unassigned-object reads, non-constant breakpoint expressions,
+    /// and breakpoints that do not form a strictly increasing axis.
+    fn fold_tables(&self, bound: &[f64], init_values: &[Option<f64>]) -> Result<Vec<Pwl1>> {
+        let mut tables = Vec::with_capacity(self.compiled.tables.len());
+        for spec in &self.compiled.tables {
+            let mut xs = Vec::with_capacity(spec.breakpoints.len());
+            let mut ys = Vec::with_capacity(spec.breakpoints.len());
+            for (bx, by) in &spec.breakpoints {
+                xs.push(fold(bx, bound, init_values)?);
+                ys.push(fold(by, bound, init_values)?);
             }
-        };
-        let mut tables = Vec::with_capacity(pairs.len());
-        for (xs, ys) in pairs {
             tables.push(Pwl1::new(xs, ys).map_err(|e| {
                 HdlError::Elab(format!(
                     "invalid table1d breakpoints in `{}`: {e}",
@@ -259,6 +230,18 @@ impl Instance {
     /// Bound generic values, in declaration order.
     pub fn generics(&self) -> &[f64] {
         &self.generics
+    }
+
+    /// Object values after elaboration (declaration initializers, then
+    /// the `init` program), in slot order; `None` for objects without
+    /// a value yet.
+    pub fn init_values(&self) -> &[Option<f64>] {
+        &self.init_values
+    }
+
+    /// The folded `table1d` tables, in call-site order.
+    pub fn tables(&self) -> &[Pwl1] {
+        &self.tables
     }
 
     /// Number of extra scalar unknowns this instance adds to the
@@ -336,42 +319,6 @@ impl Instance {
     }
 }
 
-/// Folds a constant expression allowing reads of already-folded
-/// objects (constants in declaration order).
-fn fold_with_objects(expr: &CExpr, generics: &[f64], objects: &[Option<f64>]) -> Result<f64> {
-    Ok(match expr {
-        CExpr::Const(v) => *v,
-        CExpr::Generic(i) => generics[*i],
-        CExpr::Object(i) => objects[*i].ok_or_else(|| {
-            HdlError::Elab("initializer references an object with no value yet".into())
-        })?,
-        CExpr::Unary(op, e) => {
-            let v = fold_with_objects(e, generics, objects)?;
-            match op {
-                crate::ast::UnOp::Neg => -v,
-                crate::ast::UnOp::Not => f64::from(v == 0.0),
-            }
-        }
-        CExpr::Binary(op, a, b) => fold_binop(
-            *op,
-            fold_with_objects(a, generics, objects)?,
-            fold_with_objects(b, generics, objects)?,
-        ),
-        CExpr::Call(b, args) => {
-            let vals: Vec<f64> = args
-                .iter()
-                .map(|a| fold_with_objects(a, generics, objects))
-                .collect::<Result<_>>()?;
-            fold_builtin(*b, &vals)
-        }
-        other => {
-            return Err(HdlError::Elab(format!(
-                "not a constant expression: {other:?}"
-            )))
-        }
-    })
-}
-
 /// Runs the `init` program with plain f64 semantics, updating
 /// `init_values` in place.
 fn run_init_program(
@@ -383,13 +330,13 @@ fn run_init_program(
     for stmt in program {
         match stmt {
             CStmt::Assign { object, value } => {
-                let v = fold_with_objects(value, generics, init_values)?;
+                let v = fold(value, generics, init_values)?;
                 init_values[*object] = Some(v);
             }
             CStmt::If { arms, otherwise } => {
                 let mut taken = false;
                 for (cond, body) in arms {
-                    if fold_with_objects(cond, generics, init_values)? != 0.0 {
+                    if fold(cond, generics, init_values)? != 0.0 {
                         run_init_program(body, generics, init_values, model)?;
                         taken = true;
                         break;
@@ -400,7 +347,7 @@ fn run_init_program(
                 }
             }
             CStmt::Assert { cond, message } => {
-                if fold_with_objects(cond, generics, init_values)? == 0.0 {
+                if fold(cond, generics, init_values)? == 0.0 {
                     return Err(HdlError::Elab(format!(
                         "init assertion failed in `{}`: {message}",
                         model.name

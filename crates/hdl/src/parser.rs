@@ -28,6 +28,12 @@ use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Keyword as Kw, Token, TokenKind as Tk};
 
+/// Deepest nesting the parser accepts, counted in expression levels
+/// (parentheses, calls, unary operators, operator chains) plus
+/// enclosing `IF` statements. Every later pass walks the tree
+/// recursively, so this also bounds their stack use.
+const MAX_DEPTH: usize = 256;
+
 /// Parses a full module (any number of entities and architectures).
 ///
 /// # Errors
@@ -36,7 +42,11 @@ use crate::token::{Keyword as Kw, Token, TokenKind as Tk};
 /// on malformed input.
 pub fn parse(src: &str) -> Result<Module> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut module = Module::default();
     loop {
         match p.peek() {
@@ -55,7 +65,11 @@ pub fn parse(src: &str) -> Result<Module> {
 /// Returns a parse error unless the whole input is one expression.
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let e = p.expr()?;
     p.expect(Tk::Eof)?;
     Ok(e)
@@ -64,6 +78,8 @@ pub fn parse_expr(src: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -121,6 +137,15 @@ impl Parser {
 
     fn eat_kw(&mut self, kw: Kw) -> bool {
         self.eat(&Tk::Keyword(kw))
+    }
+
+    /// Enters one nesting level; the caller restores `depth` on exit.
+    fn nest(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn ident(&mut self) -> Result<(String, Span)> {
@@ -461,6 +486,7 @@ impl Parser {
 
     fn if_stmt(&mut self) -> Result<Stmt> {
         let start = self.span();
+        self.nest()?;
         self.expect_kw(Kw::If)?;
         let mut arms = Vec::new();
         let cond = self.expr()?;
@@ -484,6 +510,7 @@ impl Parser {
         self.expect_kw(Kw::End)?;
         self.expect_kw(Kw::If)?;
         self.expect(Tk::Semicolon)?;
+        self.depth -= 1;
         Ok(Stmt::If {
             arms,
             otherwise,
@@ -514,13 +541,31 @@ impl Parser {
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_kw(Kw::Or) {
-            let rhs = self.and_expr()?;
+    /// Parses a left-associative chain `operand (op operand)*`, where
+    /// `op` maps the lookahead to an operator. A chain builds a tree as
+    /// deep as it is long, so its height counts against [`MAX_DEPTH`]
+    /// on top of the current nesting.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr>,
+        op: fn(&Tk) -> Option<BinOp>,
+    ) -> Result<Expr> {
+        let mut lhs = operand(self)?;
+        let mut height = None;
+        while let Some(op) = op(self.peek()) {
+            self.bump();
+            let rhs = operand(self)?;
+            let h = height.unwrap_or_else(|| lhs.height()).max(rhs.height()) + 1;
+            height = Some(h);
+            if self.depth + h > MAX_DEPTH {
+                return Err(HdlError::Parse {
+                    message: format!("nesting deeper than {MAX_DEPTH} levels"),
+                    span: rhs.span(),
+                });
+            }
             let span = lhs.span().merge(rhs.span());
             lhs = Expr::Binary {
-                op: BinOp::Or,
+                op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
                 span,
@@ -529,26 +574,25 @@ impl Parser {
         Ok(lhs)
     }
 
+    fn or_expr(&mut self) -> Result<Expr> {
+        self.chain(Self::and_expr, |t| {
+            (*t == Tk::Keyword(Kw::Or)).then_some(BinOp::Or)
+        })
+    }
+
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_kw(Kw::And) {
-            let rhs = self.not_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
+        self.chain(Self::not_expr, |t| {
+            (*t == Tk::Keyword(Kw::And)).then_some(BinOp::And)
+        })
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if *self.peek() == Tk::Keyword(Kw::Not) {
             let start = self.span();
             self.bump();
+            self.nest()?;
             let e = self.not_expr()?;
+            self.depth -= 1;
             let span = start.merge(e.span());
             return Ok(Expr::Unary {
                 op: UnOp::Not,
@@ -584,46 +628,29 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tk::Plus => BinOp::Add,
-                Tk::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
+        self.chain(Self::multiplicative, |t| match t {
+            Tk::Plus => Some(BinOp::Add),
+            Tk::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tk::Star => BinOp::Mul,
-                Tk::Slash => BinOp::Div,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.unary()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
+        self.chain(Self::unary, |t| match t {
+            Tk::Star => Some(BinOp::Mul),
+            Tk::Slash => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
     fn unary(&mut self) -> Result<Expr> {
+        self.nest()?;
+        let e = self.signed();
+        self.depth -= 1;
+        e
+    }
+
+    fn signed(&mut self) -> Result<Expr> {
         match self.peek() {
             Tk::Minus => {
                 let start = self.span();
@@ -939,6 +966,26 @@ END ARCHITECTURE a;
         let src = "ENTITY foo IS END ENTITY bar;";
         let err = parse(src).unwrap_err();
         assert!(err.to_string().contains("does not match"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_usable_up_to_the_limit() {
+        // Each NOT and each chain operator is one level; the innermost
+        // operand takes one more. (Parenthesized nesting is exercised
+        // through the binary: a debug build needs more stack for it
+        // than a test thread has.)
+        let nots = |n: usize| format!("{}x", "NOT ".repeat(n));
+        let sum = |n: usize| vec!["x"; n].join(" + ");
+        assert!(parse_expr(&nots(MAX_DEPTH - 1)).is_ok());
+        assert_eq!(parse_expr(&sum(MAX_DEPTH)).unwrap().height(), MAX_DEPTH);
+        for src in [nots(MAX_DEPTH), sum(MAX_DEPTH + 1)] {
+            let err = parse_expr(&src).unwrap_err();
+            assert!(
+                err.to_string().contains("nesting deeper than 256 levels"),
+                "{err}"
+            );
+            assert!(err.render(&src).contains('^'));
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::ast::{self, Block, Ctx, Expr, ObjectKind, Stmt};
 use crate::compile::{
-    fold_const, BranchInfo, Builtin, CExpr, CStmt, CompiledModel, GenericInfo, ObjectInfo, PinInfo,
+    fold, BranchInfo, Builtin, CExpr, CStmt, CompiledModel, GenericInfo, ObjectInfo, PinInfo,
     TableSpec,
 };
 use crate::error::{HdlError, Result};
@@ -103,7 +103,7 @@ impl<'a> Lowering<'a> {
             let default = match &g.default {
                 Some(e) => {
                     let ce = self.lower_const_expr(e)?;
-                    Some(fold_const(&ce, &[]).map_err(|_| {
+                    Some(fold(&ce, &[], &[]).map_err(|_| {
                         Self::err(
                             format!("default of generic `{}` must be constant", g.name),
                             e.span(),
@@ -331,7 +331,7 @@ impl<'a> Lowering<'a> {
                     // require it to be generic-free or constant: fold with
                     // zeros placeholder rejected — instead fold at
                     // elaboration. Keep the expression if constant-only.
-                    fold_const(&ce, &vec![f64::NAN; self.generics.len()]).map_err(|_| {
+                    fold(&ce, &vec![f64::NAN; self.generics.len()], &[]).map_err(|_| {
                         Self::err(
                             "`integ` initial condition must be a constant expression".into(),
                             args[1].span(),
@@ -732,6 +732,30 @@ END ARCHITECTURE a;
         assert_eq!(m.tran_program.len(), 5);
         // No explicit dc block → fallback to transient program.
         assert_eq!(m.dc_program, m.tran_program);
+    }
+
+    #[test]
+    fn generic_default_may_not_read_another_generic() {
+        // Folded before any generic is bound: an error, not a panic.
+        let src = r#"
+ENTITY x IS
+  GENERIC (a : analog := 1.0; b : analog := a);
+  PIN (p, q : electrical);
+END ENTITY x;
+ARCHITECTURE y OF x IS
+BEGIN
+  RELATION
+    PROCEDURAL FOR dc, ac, transient =>
+      [p, q].i %= b * [p, q].v;
+  END RELATION;
+END ARCHITECTURE y;
+"#;
+        let err = compile_src(src, "x").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("default of generic `b` must be constant"),
+            "{err}"
+        );
     }
 
     #[test]

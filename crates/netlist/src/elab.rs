@@ -40,6 +40,10 @@ use mems_spice::wave::Waveform;
 use mems_spice::MatrixBackend;
 use std::collections::HashMap;
 
+/// Deepest `.SUBCKT` instantiation chain the elaborator flattens.
+/// Flattening recurses once per level, so this bounds its stack use.
+const MAX_HIERARCHY_DEPTH: usize = 256;
+
 /// Parameter environment: lower-cased name → value.
 pub type ParamEnv = HashMap<String, f64>;
 
@@ -172,6 +176,14 @@ impl<'d> Elaborator<'d> {
             } = card
             {
                 if let Some(def) = deck.subckt(callee) {
+                    if stack.len() == MAX_HIERARCHY_DEPTH {
+                        return Err(NetlistError::elab_at(
+                            format!(
+                                "subcircuit hierarchy deeper than {MAX_HIERARCHY_DEPTH} levels"
+                            ),
+                            *span,
+                        ));
+                    }
                     if stack.iter().any(|s| s == callee) {
                         return Err(NetlistError::elab_at(
                             format!(

@@ -12,6 +12,11 @@ use crate::token::{parse_number, Token, TokenKind};
 use mems_hdl::span::Span;
 use std::collections::HashMap;
 
+/// Deepest expression nesting the parser accepts: parentheses, braces,
+/// calls, signs, and the height of `+ - * /` chains. Evaluation walks
+/// the tree recursively, so this also bounds its stack use.
+const MAX_DEPTH: usize = 256;
+
 /// Vacuum permittivity [F/m] — the paper's `e0`.
 pub const EPS0: f64 = 8.8542e-12;
 
@@ -60,6 +65,16 @@ impl NumExpr {
         NumExpr {
             node: ExprNode::Num(v),
             span,
+        }
+    }
+
+    /// Node count of the longest root-to-leaf path.
+    pub(crate) fn height(&self) -> usize {
+        1 + match &self.node {
+            ExprNode::Num(_) | ExprNode::Ident(_) => 0,
+            ExprNode::Neg(e) => e.height(),
+            ExprNode::Bin(_, a, b) => a.height().max(b.height()),
+            ExprNode::Call(_, args) => args.iter().map(NumExpr::height).max().unwrap_or(0),
         }
     }
 
@@ -281,6 +296,8 @@ pub fn eval_scopes<'d>(
 pub struct Cursor<'t> {
     tokens: &'t [Token],
     pos: usize,
+    /// Current expression nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
     /// Span to blame for "unexpected end of card" errors.
     pub line_span: Span,
 }
@@ -291,6 +308,7 @@ impl<'t> Cursor<'t> {
         Cursor {
             tokens,
             pos: 0,
+            depth: 0,
             line_span,
         }
     }
@@ -328,6 +346,19 @@ impl<'t> Cursor<'t> {
             .map_or(Span::new(self.line_span.end, self.line_span.end), |t| {
                 t.span
             })
+    }
+
+    /// Enters one expression level; the caller restores `depth` on
+    /// exit.
+    fn nest(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(NetlistError::parse(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.here(),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     /// Consumes a token that must satisfy `kind`.
@@ -385,16 +416,34 @@ pub fn parse_arg(c: &mut Cursor<'_>) -> Result<NumExpr> {
     parse_atom(c)
 }
 
-fn parse_additive(c: &mut Cursor<'_>) -> Result<NumExpr> {
-    let mut lhs = parse_multiplicative(c)?;
+/// Parses a left-associative chain `operand (op operand)*` over the
+/// operator texts in `ops`. A chain builds a tree as deep as it is
+/// long, so its height counts against [`MAX_DEPTH`] on top of the
+/// current nesting.
+fn parse_chain(
+    c: &mut Cursor<'_>,
+    operand: fn(&mut Cursor<'_>) -> Result<NumExpr>,
+    ops: [(&str, BinOp); 2],
+) -> Result<NumExpr> {
+    let mut lhs = operand(c)?;
+    let mut height = None;
     while let Some(t) = c.peek() {
-        let op = match (t.kind, t.text.as_str()) {
-            (TokenKind::Op, "+") => BinOp::Add,
-            (TokenKind::Op, "-") => BinOp::Sub,
-            _ => break,
+        let Some(&(_, op)) = ops
+            .iter()
+            .find(|(text, _)| t.kind == TokenKind::Op && t.text == *text)
+        else {
+            break;
         };
         c.next();
-        let rhs = parse_multiplicative(c)?;
+        let rhs = operand(c)?;
+        let h = height.unwrap_or_else(|| lhs.height()).max(rhs.height()) + 1;
+        height = Some(h);
+        if c.depth + h > MAX_DEPTH {
+            return Err(NetlistError::parse(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                rhs.span,
+            ));
+        }
         let span = lhs.span.merge(rhs.span);
         lhs = NumExpr {
             node: ExprNode::Bin(op, Box::new(lhs), Box::new(rhs)),
@@ -402,28 +451,28 @@ fn parse_additive(c: &mut Cursor<'_>) -> Result<NumExpr> {
         };
     }
     Ok(lhs)
+}
+
+fn parse_additive(c: &mut Cursor<'_>) -> Result<NumExpr> {
+    parse_chain(
+        c,
+        parse_multiplicative,
+        [("+", BinOp::Add), ("-", BinOp::Sub)],
+    )
 }
 
 fn parse_multiplicative(c: &mut Cursor<'_>) -> Result<NumExpr> {
-    let mut lhs = parse_unary(c)?;
-    while let Some(t) = c.peek() {
-        let op = match (t.kind, t.text.as_str()) {
-            (TokenKind::Op, "*") => BinOp::Mul,
-            (TokenKind::Op, "/") => BinOp::Div,
-            _ => break,
-        };
-        c.next();
-        let rhs = parse_unary(c)?;
-        let span = lhs.span.merge(rhs.span);
-        lhs = NumExpr {
-            node: ExprNode::Bin(op, Box::new(lhs), Box::new(rhs)),
-            span,
-        };
-    }
-    Ok(lhs)
+    parse_chain(c, parse_unary, [("*", BinOp::Mul), ("/", BinOp::Div)])
 }
 
 fn parse_unary(c: &mut Cursor<'_>) -> Result<NumExpr> {
+    c.nest()?;
+    let e = parse_signed(c);
+    c.depth -= 1;
+    e
+}
+
+fn parse_signed(c: &mut Cursor<'_>) -> Result<NumExpr> {
     if let Some(t) = c.peek() {
         if t.kind == TokenKind::Op && (t.text == "-" || t.text == "+") {
             let neg = t.text == "-";
@@ -564,6 +613,26 @@ mod tests {
         assert!((eval_str("2*pi", &[]).unwrap() - std::f64::consts::TAU).abs() < 1e-15);
         assert_eq!(eval_str("max(2, 5)", &[]).unwrap(), 5.0);
         assert!((eval_str("eps0", &[]).unwrap() - 8.8542e-12).abs() < 1e-25);
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_usable_up_to_the_limit() {
+        // The braces are the first level; each sign or chain operator
+        // is one more. (Parenthesized nesting is exercised through the
+        // binary: a debug build needs more stack for it than a test
+        // thread has.)
+        let signs = |n: usize| format!("{{{}1}}", "-".repeat(n));
+        let sum = |n: usize| format!("{{{}}}", vec!["1"; n].join("+"));
+        assert_eq!(eval_str(&signs(MAX_DEPTH - 2), &[]).unwrap(), 1.0);
+        assert_eq!(eval_str(&sum(MAX_DEPTH - 1), &[]).unwrap(), 255.0);
+        for src in [signs(MAX_DEPTH), sum(MAX_DEPTH)] {
+            let err = eval_str(&src, &[]).unwrap_err();
+            assert!(
+                err.to_string().contains("nesting deeper than 256 levels"),
+                "{err}"
+            );
+            assert!(err.span().is_some());
+        }
     }
 
     #[test]

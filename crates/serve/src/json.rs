@@ -11,6 +11,11 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest array/object nesting the reader accepts. The reader
+/// recurses once per level on a connection thread's stack, and no
+/// request document needs more than a few levels.
+const MAX_DEPTH: usize = 256;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -39,6 +44,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -96,6 +102,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Current array/object nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -120,8 +128,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -130,6 +142,13 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -352,6 +371,21 @@ mod tests {
             let back = Json::parse(&doc).unwrap();
             assert_eq!(back.get("t").unwrap().as_str(), Some(nasty));
         }
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(100_000), "}".repeat(100_000));
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .contains("nesting deeper"));
     }
 
     #[test]

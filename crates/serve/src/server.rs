@@ -24,6 +24,19 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Stack size of connection and worker threads: the main thread's
+/// usual 8 MiB, so a deck at the parsers' nesting limits checks and
+/// runs under `mems serve` as it does under the CLI.
+const THREAD_STACK: usize = 8 << 20;
+
+/// Spawns a thread with [`THREAD_STACK`].
+fn spawn<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
+    std::thread::Builder::new()
+        .stack_size(THREAD_STACK)
+        .spawn(f)
+        .expect("failed to spawn thread")
+}
+
 /// Server configuration (the `mems serve` flags).
 #[derive(Clone)]
 pub struct ServeConfig {
@@ -215,7 +228,7 @@ impl Server {
         let workers = (0..if config.check_only { 0 } else { config.workers })
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
+                spawn(move || {
                     while let Some(chunk) = shared.sched.next_chunk() {
                         run_chunk(&shared, &chunk);
                     }
@@ -259,7 +272,7 @@ impl Server {
                         continue;
                     }
                     let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || {
+                    spawn(move || {
                         handle_connection(&shared, stream);
                         shared.conns.fetch_sub(1, Ordering::SeqCst);
                     });

@@ -31,12 +31,23 @@ const MC_TRAN_DECK: &str = "mc resonator\n\
 
 /// One-shot request on a fresh connection; de-chunks chunked bodies.
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    http_with(addr, method, path, "", body)
+}
+
+/// [`http`] with extra header lines (each ending in `\r\n`).
+fn http_with(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &str,
+    body: &str,
+) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n{headers}Content-Length: {}\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(req.as_bytes()).expect("write");
@@ -371,6 +382,52 @@ fn malformed_requests_get_the_right_status() {
         stream.read_to_end(&mut rest).expect("EOF, not timeout");
     }
 
+    server.shutdown();
+    server.join();
+}
+
+/// Nesting that used to overflow a connection thread's stack and
+/// abort the whole server: a deeply nested JSON body, and a JSON deck
+/// whose `.param` nests deeper than the CLI's main thread would need
+/// to survive but the smaller connection stack does not.
+#[test]
+fn deeply_nested_bodies_get_an_answer_and_the_server_survives() {
+    let server = Server::start(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let json = "Content-Type: application/json\r\n";
+
+    const LEVELS: usize = 100_000;
+    let body = format!(
+        r#"{{"deck":{}1{}}}"#,
+        "[".repeat(LEVELS),
+        "]".repeat(LEVELS)
+    );
+    let (status, reply) = http_with(addr, "POST", "/v1/check", json, &body);
+    assert_eq!(status, 400, "{reply}");
+    assert!(
+        reply.contains("bad JSON body: nesting deeper than"),
+        "{reply}"
+    );
+
+    let expr = format!("{}1{}", "(".repeat(2_000), ")".repeat(2_000));
+    let deck = format!(".title deep\\n.param a={{{expr}}}\\nV1 in 0 {{a}}\\nR1 in 0 1k\\n.op\\n");
+    let body = format!(r#"{{"deck":"{deck}"}}"#);
+    let (status, reply) = http_with(addr, "POST", "/v1/check", json, &body);
+    assert_eq!(status, 200, "{reply}");
+    let doc = parsed(&reply);
+    assert_eq!(
+        doc.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{reply}"
+    );
+    assert!(reply.contains("nesting deeper than 256 levels"), "{reply}");
+
+    let (status, _) = http(addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200);
     server.shutdown();
     server.join();
 }

@@ -93,9 +93,11 @@ impl HdlDevice {
     }
 
     /// Re-binds the generics by re-elaborating the instance in place
-    /// (elaborate-once batches): the fresh instance re-runs the
-    /// `init` program, re-folds the tables, and starts from pristine
-    /// history — exactly the state a rebuilt deck would produce.
+    /// (elaborate-once batches) through [`HdlModel::instantiate`]:
+    /// the fresh instance re-runs the `init` program and re-folds the
+    /// tables on the tree folder, keeps the model's compiled analysis
+    /// tapes, and starts from pristine history — exactly the state a
+    /// rebuilt deck would produce.
     ///
     /// # Errors
     ///

@@ -12,6 +12,10 @@
 //! unassigned reads, non-finite contributions) must fire with the
 //! same messages. Both AD scalar types are covered: [`DualReal`]
 //! (DC/transient) and [`DualComplex`] (AC).
+//!
+//! The last section pins what elaboration computes before either
+//! evaluator runs — `init` program values and `table1d` breakpoints —
+//! against expected values and messages.
 
 use mems::hdl::ast::{BinOp, ObjectKind, UnOp};
 use mems::hdl::bytecode::{run_pass_bytecode, BytecodeModel, RegBank};
@@ -715,10 +719,9 @@ proptest! {
 // Deterministic fixtures
 // ---------------------------------------------------------------
 
-/// The tree-walk twin of an [`HdlModel`] instance, assembled from the
-/// model's public parts the way `HdlModel::instantiate` assembles the
-/// bytecode one, but with the reference `init` interpreter, table
-/// folder and evaluator.
+/// The tree-walk twin of an [`HdlModel`] instance: the bound generics,
+/// `init` values, tables and seeded state of a fresh instance, run
+/// through the reference evaluator instead of the bytecode VM.
 struct TreeInstance {
     model: HdlModel,
     generics: Vec<f64>,
@@ -729,25 +732,13 @@ struct TreeInstance {
 
 impl TreeInstance {
     fn new(model: &HdlModel, generics: &[(&str, f64)]) -> Self {
-        let bound = model
-            .instantiate("tree", generics)
-            .unwrap()
-            .generics()
-            .to_vec();
-        let init_values = model.init_values_with(&bound, false).unwrap();
-        let tables = model.fold_tables_with(&bound, &init_values, false).unwrap();
-        let mut state = InstanceState::for_model(model.compiled());
-        for (i, obj) in model.compiled().objects.iter().enumerate() {
-            if obj.kind == ObjectKind::State {
-                state.committed[i] = init_values[i].unwrap_or(0.0);
-            }
-        }
+        let inst = model.instantiate("tree", generics).unwrap();
         TreeInstance {
             model: model.clone(),
-            generics: bound,
-            init_values,
-            tables,
-            state,
+            generics: inst.generics().to_vec(),
+            init_values: inst.init_values().to_vec(),
+            tables: inst.tables().to_vec(),
+            state: inst.state,
         }
     }
 
@@ -985,46 +976,21 @@ fn runtime_errors_match() {
 }
 
 // ---------------------------------------------------------------
-// `init` program: compiled tape vs tree interpreter
+// Elaboration: `init` program and `table1d` breakpoint values
 // ---------------------------------------------------------------
 
-/// Asserts both init evaluators produce bit-identical value vectors —
-/// or identical error messages — for every generic binding given.
-fn assert_init_paths_agree(src: &str, entity: &str, bindings: &[Vec<f64>]) {
-    let model = HdlModel::compile(src, entity, None).unwrap();
-    assert!(
-        model.bytecode().init.is_some(),
-        "{entity}: init program should compile to a tape"
-    );
-    for bound in bindings {
-        let tree = model.init_values_with(bound, false);
-        let tape = model.init_values_with(bound, true);
-        match (tree, tape) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.len());
-                for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                    match (x, y) {
-                        (Some(p), Some(q)) => assert_eq!(
-                            p.to_bits(),
-                            q.to_bits(),
-                            "{entity} object {i} under {bound:?}: {p:e} vs {q:e}"
-                        ),
-                        (None, None) => {}
-                        other => panic!("{entity} object {i} under {bound:?}: {other:?}"),
-                    }
-                }
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "{entity} under {bound:?}");
-            }
-            (a, b) => panic!("{entity} under {bound:?}: one path failed: {a:?} vs {b:?}"),
-        }
-    }
+/// The message every elaboration-time read of a value-less object
+/// fails with, in the `init` program and in table breakpoints alike.
+const NO_VALUE_YET: &str = "elaboration error: initializer references an object with no value yet";
+
+/// Bit-level view of an init-value vector, so NaN compares equal.
+fn bits(values: &[Option<f64>]) -> Vec<Option<u64>> {
+    values.iter().map(|v| v.map(f64::to_bits)).collect()
 }
 
 #[test]
-fn init_tape_matches_tree_walk_on_branchy_programs() {
-    // Branches on generics, shadowed assignments, selection builtins,
+fn init_program_takes_the_gapcell_branches() {
+    // Branches on generics, selection builtins, an assertion and
     // derived constants — the shapes `init` blocks actually take.
     let src = r#"
 ENTITY gapcell IS
@@ -1052,29 +1018,55 @@ BEGIN
   END RELATION;
 END ARCHITECTURE a;
 "#;
-    let mut bindings = vec![
-        vec![0.15e-3, 0.0],
-        vec![0.15e-3, 1.0],
-        vec![0.15e-3, 2.0],
-        vec![1.0e-9, 1.0],
-        vec![-1.0, 0.0],          // max() keeps it positive
-        vec![-1.0, 2.0],          // assertion fails on both paths
-        vec![f64::NAN, 0.0],      // NaN flows identically
-        vec![f64::INFINITY, 1.0], // limit() clamps
+    const E0: f64 = 8.8542e-12;
+    let model = HdlModel::compile(src, "gapcell", None).unwrap();
+    // Object slots: e0, gap, c0, guard.
+    let expect = |gap: f64| {
+        let guard = if gap <= 1.0e-3 { gap } else { 1.0e-3 };
+        vec![Some(E0), Some(gap), Some(E0 / gap), Some(guard)]
+    };
+    let cases = [
+        // mode 0: max() keeps the gap positive.
+        ([0.15e-3, 0.0], 0.15e-3),
+        ([-1.0, 0.0], 1.0e-6),
+        // A NaN first operand loses the max() comparison.
+        ([f64::NAN, 0.0], 1.0e-6),
+        // mode 1: limit() clamps from both sides.
+        ([0.15e-3, 1.0], 0.15e-3),
+        ([1.0e-9, 1.0], 1.0e-6),
+        ([f64::INFINITY, 1.0], 1.0e-3),
+        // mode 2: the gap doubles, and ∞ flows through to c0 = 0.
+        ([0.15e-3, 2.0], 0.15e-3 * 2.0),
+        ([f64::INFINITY, 2.0], f64::INFINITY),
+        // A NaN mode fails both comparisons and takes the ELSE arm.
+        ([0.15e-3, f64::NAN], 0.15e-3),
     ];
-    // A deterministic spray of additional points.
-    let mut x = 0x9e3779b97f4a7c15u64;
-    for _ in 0..64 {
-        x = x.wrapping_mul(0xd1342543de82ef95).wrapping_add(1);
-        let g0 = ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e-3;
-        let mode = ((x >> 3) % 3) as f64;
-        bindings.push(vec![g0, mode]);
+    for ([g0, mode], gap) in cases {
+        let inst = model
+            .instantiate("g1", &[("g0", g0), ("mode", mode)])
+            .unwrap_or_else(|e| panic!("g0={g0:e} mode={mode}: {e}"));
+        assert_eq!(
+            bits(inst.init_values()),
+            bits(&expect(gap)),
+            "g0={g0:e} mode={mode}"
+        );
     }
-    assert_init_paths_agree(src, "gapcell", &bindings);
+    // A negative doubled gap, and a NaN passed through limit(), both
+    // fail the assertion.
+    for (g0, mode) in [(-1.0, 2.0), (f64::NAN, 1.0)] {
+        let err = model
+            .instantiate("g1", &[("g0", g0), ("mode", mode)])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "elaboration error: init assertion failed in `gapcell`: gap must be positive",
+            "g0={g0:e} mode={mode}"
+        );
+    }
 }
 
 #[test]
-fn init_tape_matches_tree_walk_on_listing1() {
+fn init_program_sets_listing1_e0() {
     let src = r#"
 ENTITY eletran IS
  GENERIC (A, d, er : analog);
@@ -1096,17 +1088,22 @@ BEGIN
   END RELATION;
 END ARCHITECTURE a;
 "#;
-    assert_init_paths_agree(
-        src,
-        "eletran",
-        &[vec![1.0e-4, 0.15e-3, 1.0], vec![2.0e-4, 1.0e-4, 3.9]],
-    );
+    let model = HdlModel::compile(src, "eletran", None).unwrap();
+    for [area, gap, er] in [[1.0e-4, 0.15e-3, 1.0], [2.0e-4, 1.0e-4, 3.9]] {
+        let inst = model
+            .instantiate("x1", &[("a", area), ("d", gap), ("er", er)])
+            .unwrap();
+        // Object slots: e0, x, V, S — only e0 is set at elaboration.
+        assert_eq!(
+            bits(inst.init_values()),
+            bits(&[Some(8.8542e-12), None, None, None])
+        );
+    }
 }
 
 #[test]
 fn init_unassigned_read_errors_identically() {
-    // `gap` is read before any assignment: both evaluators must
-    // refuse with the same message.
+    // `gap` is read before any assignment.
     let src = r#"
 ENTITY broken IS
   GENERIC (g0 : analog := 1.0);
@@ -1124,87 +1121,16 @@ BEGIN
 END ARCHITECTURE a;
 "#;
     let model = HdlModel::compile(src, "broken", None).unwrap();
-    let tree = model.init_values_with(&[1.0], false).unwrap_err();
-    let tape = model.init_values_with(&[1.0], true).unwrap_err();
-    assert_eq!(tree.to_string(), tape.to_string());
-    assert!(tree.to_string().contains("no value yet"), "{tree}");
-}
-
-#[test]
-fn unsupported_init_programs_fall_back_to_tree_walk() {
-    // A hand-built init program with a contribution: inexpressible on
-    // the init VM, so compile_init_program declines and the model
-    // keeps the tree interpreter (whose "unsupported statement"
-    // diagnostic fires at elaboration).
-    use mems::hdl::bytecode::compile_init_program;
-    let contribute = vec![CStmt::Contribute {
-        branch: 0,
-        value: CExpr::Const(1.0),
-    }];
-    assert!(compile_init_program(&contribute).is_none());
-    let across = vec![CStmt::Assign {
-        object: 0,
-        value: CExpr::Across(0),
-    }];
-    assert!(compile_init_program(&across).is_none());
-    let fine = vec![CStmt::Assign {
-        object: 0,
-        value: CExpr::Call(Builtin::Sqrt, vec![CExpr::Generic(0)]),
-    }];
-    assert!(compile_init_program(&fine).is_some());
-}
-
-// ---------------------------------------------------------------
-// table1d breakpoint folding: fold tape vs tree folder
-// ---------------------------------------------------------------
-
-/// Compares both table-fold paths for every binding: bit-identical
-/// breakpoints on success, identical messages on failure.
-fn assert_table_folds_agree(src: &str, entity: &str, bindings: &[Vec<f64>]) {
-    let model = HdlModel::compile(src, entity, None).unwrap();
-    assert!(
-        model.bytecode().table_fold.is_some(),
-        "{entity}: breakpoints should compile to a fold tape"
-    );
-    for bound in bindings {
-        let init = model
-            .init_values_with(bound, true)
-            .unwrap_or_else(|e| panic!("{entity}: init failed under {bound:?}: {e}"));
-        let tree = model.fold_tables_with(bound, &init, false);
-        let tape = model.fold_tables_with(bound, &init, true);
-        match (tree, tape) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.len());
-                for (t, (ta, tb)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(ta.xs().len(), tb.xs().len());
-                    for i in 0..ta.xs().len() {
-                        assert_eq!(
-                            ta.xs()[i].to_bits(),
-                            tb.xs()[i].to_bits(),
-                            "{entity} table {t} x[{i}] under {bound:?}"
-                        );
-                        assert_eq!(
-                            ta.ys()[i].to_bits(),
-                            tb.ys()[i].to_bits(),
-                            "{entity} table {t} y[{i}] under {bound:?}"
-                        );
-                    }
-                }
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "{entity} under {bound:?}");
-            }
-            (a, b) => panic!("{entity} under {bound:?}: one path failed: {a:?} vs {b:?}"),
-        }
+    for g0 in [1.0, f64::NAN] {
+        let err = model.instantiate("b1", &[("g0", g0)]).unwrap_err();
+        assert_eq!(err.to_string(), NO_VALUE_YET);
     }
 }
 
 #[test]
-fn table_fold_tape_matches_tree_folder() {
-    // Breakpoints over generics and init-derived objects, including a
-    // shape that inverts the axis for some bindings (both paths must
-    // then report the identical invalid-breakpoints error through
-    // `Pwl1::new`).
+fn table_breakpoints_fold_from_generics_and_init_values() {
+    // Breakpoints over generics and init-derived objects, including
+    // bindings that invert or collapse the axis.
     let src = r#"
 ENTITY tcell IS
   GENERIC (scale, span : analog);
@@ -1227,28 +1153,61 @@ BEGIN
   END RELATION;
 END ARCHITECTURE a;
 "#;
+    let model = HdlModel::compile(src, "tcell", None).unwrap();
+    let instantiate =
+        |scale: f64, span: f64| model.instantiate("t1", &[("scale", scale), ("span", span)]);
     let mut bindings = vec![
-        vec![1.0, 1.0],
-        vec![2.5, 0.3],
-        vec![0.0, 2.0],  // gain clamps at 0.1
-        vec![1.0, -1.0], // inverted axis: identical error both paths
-        vec![1.0, 0.0],  // duplicate breakpoints: identical error
-        vec![f64::NAN, 1.0],
+        [1.0, 1.0],
+        [2.5, 0.3],
+        [0.0, 2.0],      // gain clamps at 0.1
+        [f64::NAN, 1.0], // a NaN scale loses the max() comparison
     ];
     let mut x = 0xc0ffee_u64;
     for _ in 0..48 {
         x = x.wrapping_mul(0xd1342543de82ef95).wrapping_add(7);
         let scale = ((x >> 11) as f64 / (1u64 << 53) as f64) * 4.0;
-        let span = ((x >> 7) as f64 / (1u64 << 57) as f64) * 2.0 - 0.25;
-        bindings.push(vec![scale, span]);
+        let span = ((x >> 7) as f64 / (1u64 << 57) as f64) * 2.0 + 1.0e-3;
+        bindings.push([scale, span]);
     }
-    assert_table_folds_agree(src, "tcell", &bindings);
+    for [scale, span] in bindings {
+        let inst = instantiate(scale, span).unwrap();
+        let x0 = 0.0 - span;
+        let gain = if scale >= 0.1 { scale } else { 0.1 };
+        let xs = [x0, x0 * 0.5, 0.0, span * 0.5, span];
+        let ys = [0.0 - gain, 0.0 - gain * 0.5, 0.0, gain * 0.5, gain];
+        let table = &inst.tables()[0];
+        let got: Vec<u64> = table
+            .xs()
+            .iter()
+            .chain(table.ys())
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u64> = xs.iter().chain(&ys).map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "scale={scale} span={span}");
+    }
+    // A negative span inverts the axis, a zero span collapses it, and
+    // a NaN span makes NaN abscissae: `Pwl1` refuses all three.
+    for (span, detail) in [
+        (-1.0, "1 then 0.5"),
+        (0.0, "0 then 0"),
+        (f64::NAN, "NaN then NaN"),
+    ] {
+        let err = instantiate(1.0, span).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "elaboration error: invalid table1d breakpoints in `tcell`: \
+                 invalid input: PWL breakpoints must be strictly increasing: {detail}"
+            ),
+            "span={span}"
+        );
+    }
 }
 
 #[test]
 fn table_fold_unassigned_object_errors_identically() {
     // A breakpoint reads a variable the init program never assigns:
-    // both folders must refuse with the tree folder's message.
+    // the same refusal as an unassigned read inside `init`.
     let src = r#"
 ENTITY tlate IS
   GENERIC (g : analog := 1.0);
@@ -1265,42 +1224,6 @@ BEGIN
 END ARCHITECTURE a;
 "#;
     let model = HdlModel::compile(src, "tlate", None).unwrap();
-    assert!(model.bytecode().table_fold.is_some());
-    let init = model.init_values_with(&[1.0], true).unwrap();
-    let tree = model.fold_tables_with(&[1.0], &init, false).unwrap_err();
-    let tape = model.fold_tables_with(&[1.0], &init, true).unwrap_err();
-    assert_eq!(tree.to_string(), tape.to_string());
-    assert!(tree.to_string().contains("no value yet"), "{tree}");
-    // And the full instantiate path surfaces the same error.
     let err = model.instantiate("t1", &[]).unwrap_err();
-    assert_eq!(err.to_string(), tree.to_string());
-}
-
-#[test]
-fn runtime_breakpoints_decline_the_fold_tape() {
-    // Inject a runtime-dependent breakpoint into a compiled model:
-    // `compile_table_fold` must decline so the tree folder keeps its
-    // "not a constant expression" diagnostic.
-    use mems::hdl::bytecode::compile_table_fold;
-    let src = r#"
-ENTITY tok IS
-  PIN (p, q : electrical);
-END ENTITY tok;
-ARCHITECTURE a OF tok IS
-BEGIN
-  RELATION
-    PROCEDURAL FOR dc, ac, transient =>
-      [p, q].i %= table1d([p, q].v, 0.0, 0.0, 1.0, 2.0);
-  END RELATION;
-END ARCHITECTURE a;
-"#;
-    let model = HdlModel::compile(src, "tok", None).unwrap();
-    assert!(compile_table_fold(model.compiled()).is_some());
-    let mut broken = model.compiled().clone();
-    broken.tables[0].breakpoints[0].0 = CExpr::Across(0);
-    assert!(compile_table_fold(&broken).is_none());
-    // No tables at all → no tape either.
-    let mut empty = model.compiled().clone();
-    empty.tables.clear();
-    assert!(compile_table_fold(&empty).is_none());
+    assert_eq!(err.to_string(), NO_VALUE_YET);
 }

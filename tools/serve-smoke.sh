@@ -7,8 +7,9 @@
 #      match `mems sweep --json` byte-for-byte;
 #   2. results arrive as a chunked transfer-coded stream, and the
 #      de-chunked body matches the CLI byte-for-byte;
-#   3. the second identical submission hits the fingerprint cache
-#      (cache.hit, parse_us == 0, circuits_built == 0, warm checkout);
+#   3. the second identical submission hits the source-keyed artifact
+#      cache (cache.hit, parse_us == 0, circuits_built == 0, warm
+#      checkout);
 #   4. cancellation stops a running .MC batch short of completion;
 #   5. /v1/metrics serves Prometheus text format whose counters
 #      reflect the traffic above;
@@ -80,7 +81,7 @@ curl -sf "$BASE/v1/jobs/$ID1/results?from=0" | jq -c .points[] >"$WORK/served.js
   | jq -c .points[] >"$WORK/cli.jsonl"
 cmp "$WORK/served.jsonl" "$WORK/cli.jsonl"
 
-echo "== 2b. second identical submission hits the fingerprint cache"
+echo "== 2b. second identical submission hits the source-keyed artifact cache"
 SWEEP2=$(curl -sf -X POST --data-binary @examples/decks/resonator_step.cir "$BASE/v1/jobs")
 jq -e '.cache.hit == true and .timing.parse_us == 0' <<<"$SWEEP2" >/dev/null
 DONE2=$(wait_done "$(jq -r .id <<<"$SWEEP2")")
