@@ -15,6 +15,11 @@
 //! (`.OP` through the netlist frontend) with `order=natural` vs
 //! `order=amd` vs `order=nd` on the forced-sparse backend.
 //!
+//! An assembly series times one transient `solver::assemble` of the
+//! generated 22×22 grid (n = 2333) on a warm workspace: device load
+//! plus every stamp, replayed against the recorded stamp sequence —
+//! the assembly layer of every `.TRAN` Newton iteration.
+//!
 //! The supernodal tiers carry three cold-factor series per mesh: the
 //! true-cold AMD and ND paths (ordering + symbolic caches cleared
 //! every iteration — what a never-seen pattern costs end to end) and
@@ -26,11 +31,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mems_fem::mesh::StructuredQuadMesh;
+use mems_netlist::elab::sim_options;
 use mems_netlist::gen::{grid_deck_with, GridDeckOptions};
-use mems_netlist::{run_deck, Deck};
+use mems_netlist::{run_deck, Deck, Elaborator, ParamEnv};
+use mems_numerics::ode::IntegrationMethod;
 use mems_numerics::ordering::{amd_order, clear_cache, nd_order, FillOrdering};
 use mems_numerics::sparse_lu::{CscMatrix, SparseLu};
 use mems_numerics::supernodal::{clear_symbolic_cache, SupernodalLu};
+use mems_spice::analysis::dcop;
+use mems_spice::device::LoadKind;
+use mems_spice::solver::{assemble, Workspace};
 
 /// Assembles the DC/transient-style MNA matrix of an
 /// electromechanical cell graph over `nn` electrical nodes and the
@@ -370,11 +380,55 @@ fn bench_grid_deck(c: &mut Criterion) {
     }
 }
 
+fn bench_assemble(c: &mut Criterion) {
+    mems_bench::print_banner(
+        "transient assembly",
+        "one .TRAN Jacobian + residual assembly of the 22x22 grid deck, warm workspace",
+    );
+    let src = grid_deck_with(
+        22,
+        22,
+        &GridDeckOptions {
+            tran: true,
+            ..GridDeckOptions::default()
+        },
+    );
+    let deck = Deck::parse(&src).expect("grid deck parses");
+    let elab = Elaborator::new(&deck).expect("grid deck elaborates");
+    let (mut ckt, env) = elab.build(&ParamEnv::new(), None).expect("builds");
+    let sim = sim_options(&deck, &env).expect("options");
+    let layout = ckt.layout();
+    let mut ws = Workspace::new(layout.n_unknowns);
+    // The operating point commits the device histories a transient
+    // load reads, and leaves `ws` sized and on the deck's policy.
+    let x = dcop::solve_in(&mut ckt, &sim, None, &mut ws)
+        .expect("operating point")
+        .x;
+    let kind = LoadKind::Transient {
+        t: 1e-5,
+        h: 1e-5,
+        method: IntegrationMethod::Trapezoidal,
+    };
+    assemble(&mut ckt, &layout, kind, sim.gmin, &x, &mut ws).expect("assembles");
+    let stats = ws.sys.solver_stats();
+    eprintln!(
+        "  n={} pattern nnz={} stamp misses after warm-up={}",
+        stats.n, stats.pattern_nnz, stats.stamp_misses
+    );
+    let mut group = c.benchmark_group(&format!("assemble_tran_grid22_n{}", layout.n_unknowns));
+    group.sample_size(20);
+    group.bench_function("warm", |b| {
+        b.iter(|| assemble(&mut ckt, &layout, kind, sim.gmin, &x, &mut ws).expect("assembles"))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_kernels,
     bench_supernodal,
     bench_scale_tiers,
-    bench_grid_deck
+    bench_grid_deck,
+    bench_assemble
 );
 criterion_main!(benches);

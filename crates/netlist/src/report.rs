@@ -647,7 +647,7 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
          \"n\":{},\"pattern_nnz\":{},\"factor_nnz\":{},\"fill_ratio\":{},\
          \"supernodes\":{},\"levels\":{},\"threads\":{},\
          \"factors\":{},\"refactors\":{},\"fallbacks\":{},\
-         \"last_factor_us\":{},\"last_refactor_us\":{}}}",
+         \"last_factor_us\":{},\"last_refactor_us\":{},\"stamp_misses\":{}}}",
         json_escape(st.backend),
         json_escape(st.factor_path),
         json_escape(st.ordering),
@@ -664,7 +664,8 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
         st.refactors,
         st.fallbacks,
         st.last_factor_us,
-        st.last_refactor_us
+        st.last_refactor_us,
+        st.stamp_misses
     )
 }
 

@@ -20,6 +20,22 @@
 //!   transient steps, AC frequency points, and `.STEP`/`.MC` batch
 //!   points that share one topology.
 //!
+//! Stamping into [`SparseSystem`] is hash-free once an assembly
+//! repeats. The system records the slot of every
+//! [`add`](SystemMatrix::add) since the last
+//! [`clear`](SystemMatrix::clear), in call order; a later assembly
+//! whose stamp at the same position has the same `(row, col)` adds
+//! straight into that slot. A stamp off the sequence cuts the record
+//! at that point, finds its slot through the coordinate map, and
+//! records from there on, so one divergent assembly (the DC →
+//! transient switch, where capacitors start stamping) heals the
+//! record for the next. Each entry still sums its stamps in call
+//! order, so replay never changes a result bit.
+//! [`SolverStats::stamp_misses`] counts the stamps that took the map.
+//! Whenever the pattern grows, the next factor renumbers the value
+//! slots into `(col, row)` order: the assembled values are then the
+//! CSC value array the LU reads, with no scatter copy per factor.
+//!
 //! Backend selection is [`MatrixBackend`]: `Auto` switches to sparse
 //! at [`AUTO_SPARSE_THRESHOLD`] unknowns, and
 //! [`SimOptions::matrix`](crate::solver::SimOptions) (deck option
@@ -178,6 +194,10 @@ pub struct SolverStats {
     pub last_factor_us: u64,
     /// Wall time of the last refactorization, microseconds.
     pub last_refactor_us: u64,
+    /// Stamps that missed the recorded stamp sequence and took the
+    /// hash lookup (sparse only, cumulative). The first assembly and
+    /// each divergent one count here; a steady Newton loop adds none.
+    pub stamp_misses: u64,
 }
 
 impl Default for SolverStats {
@@ -199,6 +219,7 @@ impl Default for SolverStats {
             fallbacks: 0,
             last_factor_us: 0,
             last_refactor_us: 0,
+            stamp_misses: 0,
         }
     }
 }
@@ -393,18 +414,27 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
 /// Sparse backend: growable stamp pattern + split symbolic/numeric LU.
 pub struct SparseSystem<S: Scalar> {
     n: usize,
-    /// `(row << 32 | col)` → slot in [`vals`](Self::vals).
+    /// `(row << 32 | col)` → slot in [`vals`](Self::vals). Consulted
+    /// only by stamps that miss the [`record`](Self::record), and by
+    /// [`get`](SystemMatrix::get).
     slots: HashMap<u64, usize>,
-    /// Slot → coordinate, in insertion order.
+    /// Slot → coordinate. Once the pattern is analyzed, slots are in
+    /// `(col, row)` order, so `coords` lists the CSC pattern.
     coords: Vec<(u32, u32)>,
-    /// Assembled values, by slot.
+    /// Assembled values, by slot: the CSC value array of the analyzed
+    /// pattern (plus, while the pattern is dirty, new entries appended
+    /// at the end until the next factor renumbers them).
     vals: Vec<S>,
     /// CSC image of the pattern (rebuilt when the pattern grows).
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
-    csc_vals: Vec<S>,
-    /// Slot → position in the CSC value array.
-    slot_to_pos: Vec<usize>,
+    /// The slot each `add` since the last `clear` hit, in call order.
+    /// An assembly that stamps the same sequence again replays it: the
+    /// stamp at `cursor` is checked against `coords` and accumulates
+    /// without a hash lookup.
+    record: Vec<u32>,
+    /// Position of the next `add` in [`record`](Self::record).
+    cursor: usize,
     pattern_dirty: bool,
     lu: Option<SparseLu<S>>,
     factored: bool,
@@ -438,6 +468,7 @@ pub struct SparseSystem<S: Scalar> {
     stat_fallbacks: u64,
     stat_last_factor_us: u64,
     stat_last_refactor_us: u64,
+    stat_stamp_misses: u64,
     /// Ordering cost/source of the scalar path's last analysis (the
     /// supernodal engine reports its own).
     stat_order_us: u64,
@@ -466,8 +497,8 @@ impl<S: Scalar> SparseSystem<S> {
             vals: Vec::new(),
             col_ptr: Vec::new(),
             row_idx: Vec::new(),
-            csc_vals: Vec::new(),
-            slot_to_pos: Vec::new(),
+            record: Vec::new(),
+            cursor: 0,
             pattern_dirty: true,
             lu: None,
             factored: false,
@@ -484,6 +515,7 @@ impl<S: Scalar> SparseSystem<S> {
             stat_fallbacks: 0,
             stat_last_factor_us: 0,
             stat_last_refactor_us: 0,
+            stat_stamp_misses: 0,
             stat_order_us: 0,
             stat_order_source: "none",
         }
@@ -523,19 +555,27 @@ impl<S: Scalar> SparseSystem<S> {
     }
 
     fn rebuild_csc(&mut self) {
-        // Sort slots by (col, row) to build the CSC image, remembering
-        // where each slot landed.
+        // Renumber slots into (col, row) order, so `vals` is the CSC
+        // value array, and carry the map and the record along.
         let mut order: Vec<usize> = (0..self.coords.len()).collect();
         order.sort_unstable_by_key(|&s| (self.coords[s].1, self.coords[s].0));
+        let mut new_slot = vec![0u32; order.len()];
+        for (pos, &slot) in order.iter().enumerate() {
+            new_slot[slot] = pos as u32;
+        }
+        self.coords = order.iter().map(|&slot| self.coords[slot]).collect();
+        self.vals = order.iter().map(|&slot| self.vals[slot]).collect();
+        self.slots
+            .values_mut()
+            .for_each(|slot| *slot = new_slot[*slot] as usize);
+        self.record
+            .iter_mut()
+            .for_each(|slot| *slot = new_slot[*slot as usize]);
         self.col_ptr = vec![0; self.n + 1];
         self.row_idx = Vec::with_capacity(order.len());
-        self.csc_vals = vec![S::zero(); order.len()];
-        self.slot_to_pos = vec![0; order.len()];
-        for (pos, &slot) in order.iter().enumerate() {
-            let (r, c) = self.coords[slot];
+        for &(r, c) in &self.coords {
             self.col_ptr[c as usize + 1] += 1;
             self.row_idx.push(r as usize);
-            self.slot_to_pos[slot] = pos;
         }
         for c in 0..self.n {
             self.col_ptr[c + 1] += self.col_ptr[c];
@@ -552,6 +592,39 @@ impl<S: Scalar> SparseSystem<S> {
         self.snl = None;
         self.snl_dead = false;
         self.active_supernodal = false;
+    }
+
+    /// A stamp off the recorded sequence: the record is cut at the
+    /// cursor, the slot is found (or created) through the hash map, and
+    /// recording resumes from there — one divergent assembly heals the
+    /// record for the next.
+    #[cold]
+    #[inline(never)]
+    fn add_miss(&mut self, row: usize, col: usize, v: S) {
+        self.stat_stamp_misses += 1;
+        self.record.truncate(self.cursor);
+        let key = ((row as u64) << 32) | col as u64;
+        let slot = match self.slots.get(&key) {
+            Some(&slot) => {
+                self.vals[slot] += v;
+                slot
+            }
+            None => {
+                let slot = self.vals.len();
+                self.slots.insert(key, slot);
+                self.coords.push((row as u32, col as u32));
+                self.vals.push(v);
+                // A new structural entry invalidates the symbolic
+                // analysis; the pattern only ever grows, so devices
+                // whose Jacobian entries come and go (HDL models with
+                // locally-zero derivatives) converge on a stable
+                // superset after the first few assemblies.
+                self.pattern_dirty = true;
+                slot
+            }
+        };
+        self.record.push(slot as u32);
+        self.cursor += 1;
     }
 
     /// Symbolic-time ordering for the scalar path: computed once per
@@ -590,27 +663,21 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
 
     fn clear(&mut self) {
         self.vals.iter_mut().for_each(|v| *v = S::zero());
+        self.cursor = 0;
         self.factored = false;
     }
 
     fn add(&mut self, row: usize, col: usize, v: S) {
         debug_assert!(row < self.n && col < self.n, "stamp out of bounds");
-        let key = ((row as u64) << 32) | col as u64;
-        match self.slots.get(&key) {
-            Some(&slot) => self.vals[slot] += v,
-            None => {
-                let slot = self.vals.len();
-                self.slots.insert(key, slot);
-                self.coords.push((row as u32, col as u32));
-                self.vals.push(v);
-                // A new structural entry invalidates the symbolic
-                // analysis; the pattern only ever grows, so devices
-                // whose Jacobian entries come and go (HDL models with
-                // locally-zero derivatives) converge on a stable
-                // superset after the first few assemblies.
-                self.pattern_dirty = true;
+        if let Some(&slot) = self.record.get(self.cursor) {
+            let slot = slot as usize;
+            if self.coords[slot] == (row as u32, col as u32) {
+                self.vals[slot] += v;
+                self.cursor += 1;
+                return;
             }
         }
+        self.add_miss(row, col, v);
     }
 
     fn all_finite(&self) -> bool {
@@ -621,9 +688,6 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
         self.factored = false;
         if self.pattern_dirty {
             self.rebuild_csc();
-        }
-        for (slot, &pos) in self.slot_to_pos.iter().enumerate() {
-            self.csc_vals[pos] = self.vals[slot];
         }
         // Scalar-path ordering is resolved lazily here rather than in
         // `rebuild_csc`: when the supernodal engine is active it orders
@@ -636,7 +700,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
             n: self.n,
             col_ptr: &self.col_ptr,
             row_idx: &self.row_idx,
-            values: &self.csc_vals,
+            values: &self.vals,
         };
         // Supernodal engine first when the policy selects it: a
         // numeric-only replay when the symbolic analysis exists, a
@@ -684,7 +748,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
                 n: self.n,
                 col_ptr: &self.col_ptr,
                 row_idx: &self.row_idx,
-                values: &self.csc_vals,
+                values: &self.vals,
             };
         }
         let t0 = Instant::now();
@@ -797,6 +861,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
             fallbacks: self.stat_fallbacks,
             last_factor_us: self.stat_last_factor_us,
             last_refactor_us: self.stat_last_refactor_us,
+            stamp_misses: self.stat_stamp_misses,
         }
     }
 }

@@ -7,22 +7,28 @@
 //! cargo run --example gen_grid_deck -- 18 19       # the ~1600-unknown tier
 //! cargo run --example gen_grid_deck -- --3d 3 3 3 > examples/decks/grid3d_cells.cir
 //! cargo run --example gen_grid_deck -- --3d 10    # cube, the ~7000-unknown tier
+//! cargo run --example gen_grid_deck -- --tran 8 8  # pulse-driven .TRAN, no .AC/.STEP
 //! ```
 
 use mems::netlist::gen::{grid3d_deck_with, grid_deck_with, GridDeckOptions};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let three_d = args.first().is_some_and(|a| a == "--3d");
-    if three_d {
-        args.remove(0);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let three_d = args.iter().any(|a| a == "--3d");
+    let tran = args.iter().any(|a| a == "--tran");
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !matches!(a.as_str(), "--3d" | "--tran") && a.parse::<usize>().is_err())
+    {
+        eprintln!("unknown argument `{bad}`\nusage: gen_grid_deck [--3d] [--tran] [DIM...]");
+        std::process::exit(2);
     }
     let dims: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
     let opts = GridDeckOptions {
         options: "sparse=1".into(),
-        ac: true,
-        tran: false,
-        step_points: 5,
+        ac: !tran,
+        tran,
+        step_points: if tran { 0 } else { 5 },
     };
     if three_d {
         let nx = dims.first().copied().unwrap_or(3).max(1);
